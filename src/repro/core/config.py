@@ -26,10 +26,13 @@ class LeopardConfig:
         bftblock_max_links: τ — max datablock links per BFTblock.
         max_parallel_instances: k — parallel agreement instances bound
             (watermark window; PBFT-style, §IV-A2).
-        generation_interval: how often a replica checks whether to cut a
-            new datablock.
-        max_batch_delay: cut a partial datablock if the oldest pending
-            request has waited this long (latency guard).
+        generation_interval: minimum re-check delay under NIC
+            backpressure.  Datablocks are cut the moment they fall due,
+            not on a polling tick; a backpressured replica re-checks when
+            its backlog should have drained to ``max_backlog``, and this
+            floor keeps a wrong (live) backlog estimate from spinning.
+        max_batch_delay: cut a partial datablock once the oldest pending
+            request has waited this long (latency guard; one-shot timer).
         max_backlog: NIC backpressure — pause datablock generation while
             the local egress queue exceeds this many seconds of work.
         max_outstanding_datablocks: flow control — pause generation while
@@ -39,7 +42,8 @@ class LeopardConfig:
             instead of unboundedly deep receive queues).  The default (-1)
             auto-scales as max(1, ceil(32/(n-1))): with many generators a
             smaller per-replica window keeps the same pipeline depth.
-        proposal_interval: leader's BFTblock proposal tick.
+        proposal_interval: BFTblock proposal tick; armed only while the
+            replica leads the view.
         max_proposal_delay: the leader proposes once τ links are ready or
             once the oldest ready link has waited this long — the batching
             that amortizes vote processing (Fig. 7, Table II).

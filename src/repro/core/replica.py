@@ -4,9 +4,9 @@
 same class plays leader and non-leader (the role follows from the current
 view).  It wires together:
 
-* datablock preparation (Algorithm 1) — paced by mempool fill level and NIC
-  backpressure, so a saturated replica emits datablocks exactly as fast as
-  its bandwidth drains them;
+* datablock preparation (Algorithm 1) — event-driven, paced by mempool fill
+  level and NIC backpressure, so a saturated replica emits datablocks exactly
+  as fast as its bandwidth drains them and an idle one runs no timer;
 * the two-round agreement on BFTblocks (Algorithm 2) with threshold-
   signature votes flowing to the leader;
 * the ready round + erasure-coded retrieval (Algorithm 3);
@@ -68,6 +68,11 @@ from repro.messages.recovery import (
     StateSnapshot,
 )
 
+#: Slack (seconds) on generation deadlines: a one-shot timer fires at
+#: ``now + (deadline - now)``, which can land an ulp short of ``deadline``,
+#: and must then cut the block, not re-arm a zero-delay timer.
+_GEN_SLACK = 1e-6
+
 
 class LeopardReplica:
     """One Leopard replica (leader or non-leader, per the current view)."""
@@ -115,6 +120,8 @@ class LeopardReplica:
         self.vc_triggered_at: float | None = None
         self.vc_entered_at: float | None = None
         self._ready_since: float | None = None
+        #: When the one pending "gen" timer fires (None: none armed).
+        self._gen_deadline: float | None = None
         # Adaptive retrieval timer (the paper: "the timer can be
         # adaptively set based on past network profiling"): an EWMA of
         # observed datablock delivery delay, so saturation-era queueing
@@ -157,21 +164,30 @@ class LeopardReplica:
     # ------------------------------------------------------------------
 
     def start(self, now: float) -> list[Effect]:
-        """Arm the recurring timers (and catch-up, after a restart)."""
-        effects: list[Effect] = [
-            SetTimer("gen", self.config.generation_interval),
-            SetTimer("propose", self.config.proposal_interval),
-            SetTimer("progress", self.config.progress_timeout),
-        ]
+        """Take up the view's role (and catch-up, after a restart)."""
+        self._gen_deadline = None  # a host starts a core with no timer set
+        effects = self._take_up_role(now)
         if self._recover_on_start:
             self._recover_on_start = False
             effects.extend(self.recovery.begin(now))
         return effects
 
+    def _take_up_role(self, now: float) -> list[Effect]:
+        """What the current view asks of this replica: watch progress;
+        tick proposals if it leads, cut the datablocks due if it does not."""
+        effects: list[Effect] = [
+            SetTimer("progress", self.config.progress_timeout)]
+        if self.is_leader:
+            effects.append(
+                SetTimer("propose", self.config.proposal_interval))
+        effects.extend(self._pump_generation(now))
+        return effects
+
     def on_timer(self, key: Hashable, now: float) -> list[Effect]:
         """Dispatch a timer firing."""
         if key == "gen":
-            return self._on_gen_timer(now)
+            self._gen_deadline = None
+            return self._pump_generation(now)
         if key == "propose":
             return self._on_propose_timer(now)
         if key == "progress":
@@ -271,26 +287,41 @@ class LeopardReplica:
     def _on_bundle(self, sender: int, bundle: RequestBundle, now: float
                    ) -> list[Effect]:
         self.mempool.add_bundle(bundle)
-        return []
+        return self._pump_generation(now)
 
-    def _on_gen_timer(self, now: float) -> list[Effect]:
-        effects: list[Effect] = [
-            SetTimer("gen", self.config.generation_interval)]
+    def _pump_generation(self, now: float) -> list[Effect]:
+        """Cut every datablock that is due.  Runs whenever a cut condition
+        can have changed: a bundle arrives, the flow-control window
+        releases, a view is entered, the core starts, the "gen" timer
+        fires.  That one-shot timer covers the two causes that are a matter
+        of time alone: the oldest request reaching ``max_batch_delay`` and
+        the NIC backlog draining to ``max_backlog``."""
+        effects: list[Effect] = []
         if self.is_leader or not self.normal_mode:
             return effects
-        while self.mempool.total_requests > 0:
-            full = self.mempool.total_requests >= self.config.datablock_size
-            oldest = self.mempool.oldest_submission()
-            overdue = (oldest is not None
-                       and now - oldest >= self.config.max_batch_delay)
-            if not (full or overdue):
-                break
-            if self.backlog_probe() > self.config.max_backlog:
-                break
-            if (len(self._own_unexecuted)
-                    >= self.config.max_outstanding_datablocks):
-                break
-            effects.extend(self._generate_datablock(now))
+        config = self.config
+        mempool = self.mempool
+        while mempool.total_requests > 0:
+            delay = 0.0
+            if mempool.total_requests < config.datablock_size:
+                delay = (mempool.oldest_submission()
+                         + config.max_batch_delay - now)
+            if delay <= _GEN_SLACK:
+                if (len(self._own_unexecuted)
+                        >= config.max_outstanding_datablocks):
+                    break  # no timer: the window's release pumps again
+                delay = self.backlog_probe() - config.max_backlog
+                if delay <= _GEN_SLACK:
+                    effects.extend(self._generate_datablock(now))
+                    continue
+                # The simulated backlog drains at exactly 1 s/s; the live
+                # estimate can be wrong, and must not make this spin.
+                delay = max(delay, config.generation_interval)
+            pending = self._gen_deadline
+            if pending is None or now + delay + _GEN_SLACK < pending:
+                self._gen_deadline = now + delay
+                effects.append(SetTimer("gen", delay))
+            break
         return effects
 
     def _generate_datablock(self, now: float) -> list[Effect]:
@@ -363,9 +394,11 @@ class LeopardReplica:
     # ------------------------------------------------------------------
 
     def _on_propose_timer(self, now: float) -> list[Effect]:
+        if not self.is_leader:
+            return []  # deposed: the tick dies with the role
         effects: list[Effect] = [
             SetTimer("propose", self.config.proposal_interval)]
-        if not self.is_leader or not self.normal_mode:
+        if not self.normal_mode:
             return effects
         if self.ready.ready_count == 0:
             self._ready_since = None
@@ -426,6 +459,8 @@ class LeopardReplica:
         effects = self._check_links_and_vote(instance, now)
         for proof in self.store.drain_buffered(block.digest()):
             effects.extend(self._apply_proof(instance, proof, now))
+        # Last, so the datablocks the release allows queue behind the votes.
+        effects.extend(self._pump_generation(now))
         return effects
 
     def _release_window(self, block: BFTblock) -> None:
@@ -570,6 +605,7 @@ class LeopardReplica:
             effects.extend(self._maybe_checkpoint(now))
             # A confirmed successor may be waiting on retrieved datablocks.
             effects.extend(self._request_execution_blockers(now))
+            effects.extend(self._pump_generation(now))
         return effects
 
     def _request_execution_blockers(self, now: float) -> list[Effect]:
@@ -809,13 +845,7 @@ class LeopardReplica:
         for instance in self.store.instances.values():
             linked.update(instance.block.links)
         for block_digest in self.pool.digests():
-            if block_digest in linked:
-                continue
-            if self.is_leader:
-                self.ready.record_ready(block_digest, self.node_id)
-                self.ready.mark_held(block_digest)
-            else:
-                effects.append(Send(
-                    self.current_leader, Ready(block_digest)))
-        effects.append(SetTimer("progress", self.config.progress_timeout))
+            if block_digest not in linked:
+                effects.extend(self._announce_ready(block_digest))
+        effects.extend(self._take_up_role(now))
         return effects

@@ -839,14 +839,12 @@ class CalendarEventQueue(EventQueue):
                   stream: Hashable) -> None:
         """Append one event to a monotone per-stream wave FIFO.
 
-        ``stream`` keys a deque (CPU lanes use ``node_id * 2 + lane``;
-        recurring timer ticks use ``("t", node_id, key)``); within a
-        stream timestamps must be non-decreasing — true for CPU-lane
-        completion times, which are FIFO-monotone per lane, and for a
-        timer re-armed from its own fire time.  A non-monotone push
-        (e.g. a timer re-armed scalar-side mid-stream)
-        routes the already-sequenced entry to the scalar tier instead,
-        which preserves exact ordering at the cost of one scalar event.
+        ``stream`` keys a deque (CPU lanes use ``node_id * 2 + lane``);
+        within a stream timestamps must be non-decreasing — true for
+        CPU-lane completion times, which are FIFO-monotone per lane.  A
+        non-monotone push routes the already-sequenced entry to the
+        scalar tier instead, which preserves exact ordering at the cost
+        of one scalar event.
         Only an empty stream touches the head heap, so the steady-state
         cost is one deque append.
         """

@@ -70,7 +70,7 @@ class SimNode:
     __slots__ = ("core", "node_id", "network", "queue", "metrics",
                  "replica_ids", "cpu_model", "fault", "_honest",
                  "data_busy_until", "ctrl_busy_until", "_timer_generation",
-                 "router", "wave_ok")
+                 "_timer_seq", "router", "wave_ok")
 
     def __init__(self, core: ProtocolCore, network: Network,
                  queue: EventQueue, metrics: MetricsCollector,
@@ -96,6 +96,10 @@ class SimNode:
         self.data_busy_until = 0.0
         self.ctrl_busy_until = 0.0
         self._timer_generation: dict[Hashable, int] = {}
+        #: Node-wide arm counter: a generation is never reused, so an
+        #: event superseded by an *earlier* re-arm of its key stays stale
+        #: after that re-arm has fired and been replaced.
+        self._timer_seq = 0
         #: Set by :class:`repro.sim.runner.Simulation`; routes delivered
         #: messages to the destination host. ``None`` in host-less tests.
         self.router = None
@@ -121,15 +125,8 @@ class SimNode:
         self.wave_ok = False
 
     def _backlog_probe(self) -> float:
-        """Seconds of queued egress work at this node's NIC (one frame).
-
-        Called on every generation tick by pacing cores, so the NIC
-        lookup is inlined rather than routed through
-        :meth:`Network.backlog`.
-        """
-        remaining = (self.network.nics[self.node_id].tx_busy_until
-                     - self.queue._now)
-        return remaining if remaining > 0 else 0.0
+        """Seconds of queued egress work at this node's NIC."""
+        return self.network.backlog(self.node_id, self.queue._now)
 
     def boot(self) -> None:
         """Schedule the core's start at the current simulated time."""
@@ -248,37 +245,9 @@ class SimNode:
         generations = self._timer_generation
         if generations.get(key) != generation:
             return  # re-armed or cancelled since scheduling
-        if self.fault.crashed:
-            del generations[key]
-            return
-        effects = self.core.on_timer(key, self.queue._now)
-        # Recurring-tick fast path: an *honest* core that answers its
-        # own timer with exactly one re-arm of the same key (the
-        # generation / proposal / progress heartbeat pattern, the bulk
-        # of all timer traffic at paper scale) skips the full effect
-        # interpreter.  Faulty nodes always go through ``_apply`` so
-        # time-dependent behaviours (``Crash``) see every tick.
-        if self.batched and self._honest and len(effects) == 1:
-            effect = effects[0]
-            if (type(effect) is SetTimer and effect.key == key
-                    and effect.delay >= 0.0):
-                generation += 1
-                generations[key] = generation
-                queue = self.queue
-                if queue.wave_enabled and self.wave_ok:
-                    # Recurring ticks are FIFO-monotone per (node, key),
-                    # so they ride the wave tier's per-lane streams; the
-                    # callback is the scalar one, so crash and
-                    # generation checks at fire time are unchanged.
-                    queue.wave_push(queue._now + effect.delay,
-                                    self._fire_timer, (key, generation),
-                                    ("t", self.node_id, key))
-                else:
-                    queue.push(queue._now + effect.delay,
-                               self._fire_timer, (key, generation))
-                return
         del generations[key]
-        self._apply(effects)
+        if not self.fault.crashed:
+            self._apply(self.core.on_timer(key, self.queue._now))
 
     def _interpret_wave(self, effects: list[Effect]) -> None:
         """Interpret effects from a wave continuation.
@@ -350,11 +319,10 @@ class SimNode:
                     for dest in dests:
                         self._transmit(dest, msg)
             elif isinstance(effect, SetTimer):
-                generation = self._timer_generation.get(effect.key, 0) + 1
+                generation = self._timer_seq = self._timer_seq + 1
                 self._timer_generation[effect.key] = generation
                 if batched and effect.delay >= 0.0:
-                    # Payload-carrying push for the recurring-timer churn
-                    # (the delay is non-negative, so never in the past).
+                    # Payload-carrying push (never in the past: delay >= 0).
                     self.queue.push(now + effect.delay, self._fire_timer,
                                     (effect.key, generation))
                 else:

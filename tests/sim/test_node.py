@@ -132,6 +132,18 @@ class TestTimers:
         assert len(core.timers) == 1
         assert core.timers[0][1] == pytest.approx(0.1)
 
+    def test_superseded_timer_stays_dead_after_rearm(self):
+        # "t" armed for 0.5, superseded by 0.1; the 0.1 firing re-arms
+        # for 1.0 later.  The orphaned 0.5 event must not pass for the
+        # new arm (a generation is never reused).
+        sim = make_sim()
+        core = RecorderCore(
+            0, start_effects=[SetTimer("t", 0.5), SetTimer("t", 0.1)],
+            script={"on_timer": [SetTimer("t", 1.0)]})
+        sim.add_node(core)
+        sim.run(2.0)
+        assert [now for _, now in core.timers] == pytest.approx([0.1, 1.1])
+
     def test_timer_cancel(self):
         sim = make_sim()
         core = RecorderCore(0, start_effects=[
@@ -189,12 +201,10 @@ class TestCpuLanes:
 
 class TestFaultsAndMetrics:
     def test_crash_stops_recurring_timer(self):
-        # Regression: the recurring-timer fast path must not bypass the
-        # fault hooks — a Crash-faulted node's heartbeat stops at its
-        # crash time exactly as on the reference engine.  (One fire may
-        # slip through right after the crash — Crash tracks time through
-        # the fault hooks, so the first post-crash tick still reaches the
-        # core with its effects suppressed; that matches the seed.)
+        # A Crash-faulted node's heartbeat stops at its crash time.  (One
+        # fire may slip through right after the crash — Crash tracks time
+        # through the fault hooks, so the first post-crash tick still
+        # reaches the core with its effects suppressed.)
         sim = make_sim()
         core = RecorderCore(
             0,

@@ -36,6 +36,7 @@ class InstantLoop:
         self._heap: list = []
         self._seq = 0
         self._timers: dict[tuple[int, Hashable], int] = {}
+        self._timer_seq = 0  # generations are never reused (as SimNode)
         self.executed: dict[int, int] = {}
         self.traces: list[tuple[int, str, dict]] = []
         self.dropped: list[tuple[int, int, object]] = []
@@ -62,7 +63,7 @@ class InstantLoop:
                         self._route(node_id, dest, effect.msg)
             elif isinstance(effect, SetTimer):
                 key = (node_id, effect.key)
-                generation = self._timers.get(key, 0) + 1
+                generation = self._timer_seq = self._timer_seq + 1
                 self._timers[key] = generation
                 self._push(self.now + effect.delay,
                            ("timer", node_id, effect.key, generation))
