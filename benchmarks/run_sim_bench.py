@@ -1,31 +1,14 @@
 #!/usr/bin/env python
 """Simulator macro-benchmark: engine wall-clock and events/sec, gated.
 
-Measures the discrete-event engine on fixed paper-scale scenarios,
-comparing the **pre-refactor engine** (per-copy closure transmissions,
-three heap events per message, per-phase ``size_bytes()``, lambda-based
-timers, uncached baseline-block digests — reconstructed in-process via
-``SimNode.batched = False`` plus the digest un-memoization patch below)
-against the **batched pipeline** (typed flight records, bulk fan-out
-scheduling, merged rx/CPU events, interned byte accounting).
-
-Scenarios are Fig. 9 throughput-scaling points under saturating load:
-the full grid ends with n = 300 — the paper's headline scale, and the
-largest n its HotStuff baseline could run — for both Leopard and
-HotStuff.  A third probe counts Python-level heap allocations for one
-broadcast dispatch in each engine.
-
-On top of those, the **queue rows** (``queue-*``) compare the two
-scheduler backends of the batched engine against each other — the PR 3
-binary heap (``EventQueue(backend="heap")``) versus the calendar/ladder
-queue with slab-coalesced broadcast arrivals — on the Fig. 9 n = 300
-point, the extended n = 600 point, and HotStuff; and the
-``commit-smoke`` row drives a Leopard n = 1000 deployment through a
-full single-datablock commit (the O(n²) Ready wave, two BFT rounds and
-execution), failing the bench outright if nothing commits.  The
-``wave-saturated`` row runs the saturated Leopard n = 1000 steady-state
-point with the wave-aggregation tier on vs off, failing outright unless
-the wave engine processes >= 10x fewer events within its wall budget.
+Times the discrete-event engine on fixed paper-scale scenarios: Fig. 9
+throughput-scaling points under saturating load for Leopard (n = 64,
+300 and the extended n = 600 point) and HotStuff (n = 64 and n = 300,
+the largest its paper deployment could run).  The ``commit-smoke`` row
+drives a Leopard n = 1000 deployment through a full single-datablock
+commit (the O(n²) Ready wave, two BFT rounds and execution), failing
+the bench outright if nothing commits; the ``telemetry-overhead`` row
+A/Bs the default time-series collector in one process.
 
 Usage::
 
@@ -35,12 +18,18 @@ Usage::
     PYTHONPATH=src python benchmarks/run_sim_bench.py --mode full \
         --output benchmarks/BENCH_sim_eventloop.json               # rebase
 
-Gate policy mirrors ``run_micro.py``: on the baseline's own host an
-absolute events/sec dip must be *confirmed* by the machine-independent
-``speedup`` column before failing (both engines run in one process, so
-host load cancels out of the ratio); on any other host the gate uses
-``speedup`` alone.  Walls are min-of-k over alternating runs — the two
-engines interleave so thermal/load drift hits both.
+Gate policy: there is one engine, so no in-process ratio cancels host
+speed.  On the baseline's own host the gate is absolute events/sec
+(``vectorized_eps``), and a dip is re-measured once before it fails the
+run; on any other host the rows are printed and the gate passes, saying
+so.  Simulator speed across commits is ``cpu_us_per_req`` on the three
+``sim-*`` workloads of ``benchmarks/ledger``.  Walls are min-of-k.
+
+The baseline file also carries a ``history`` section: the last recorded
+rows of the comparisons that ended when the simulator collapsed to one
+engine (seed per-copy path vs batched pipeline, heap vs calendar queue,
+wave tier on vs off, allocations per broadcast).  It is copied forward
+verbatim on every re-record and never re-measured.
 """
 
 from __future__ import annotations
@@ -49,15 +38,10 @@ import argparse
 import gc
 import sys
 import time
-from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 
-from repro.crypto.hashing import digest as sha_digest
 from repro.harness.cluster import build_hotstuff_cluster, build_leopard_cluster
 from repro.harness.experiments import _leopard_config
-from repro.interfaces import Broadcast
-from repro.messages import hotstuff as hs_messages
 from repro.messages.client import RequestBundle
 from repro.perf import (
     build_report,
@@ -66,69 +50,28 @@ from repro.perf import (
     load_report,
     write_report,
 )
-from repro.sim import events as sim_events
-from repro.sim.metrics import MetricsCollector
-from repro.sim.network import Network
-from repro.sim.node import SimNode
-from repro.sim.runner import Simulation
 
 DEFAULT_BASELINE = Path(__file__).parent / "BENCH_sim_eventloop.json"
 
 #: (protocol, n, simulated seconds) scenario grid.  Simulated windows are
 #: short because the workload is saturating from t=0 (primed mempools /
 #: full batches): a 0.2 s Leopard window at n = 300 already pushes ~70k
-#: transmissions through the engine.
-SMOKE_SCENARIOS = [("leopard", 64, 0.2), ("hotstuff", 64, 1.0)]
+#: transmissions through the engine.  The n = 600 point runs in both
+#: modes: it is the scale the calendar queue and slab tier exist for.
+SMOKE_SCENARIOS = [
+    ("leopard", 64, 0.2),
+    ("hotstuff", 64, 1.0),
+    ("leopard", 600, 0.15),  # extended Fig. 9 point (GF(256)-capped code)
+]
 FULL_SCENARIOS = SMOKE_SCENARIOS + [
     ("leopard", 300, 0.2),   # Fig. 9 headline point (GF(256)-capped code)
     ("hotstuff", 300, 1.0),  # the paper's largest HotStuff deployment
 ]
 
-#: Scheduler-backend grid: heap (PR 3) vs calendar+coalescing, batched
-#: engine on both sides.  Windows are longer than the engine rows so the
-#: workload reaches steady saturation — the regime the calendar queue
-#: targets (~90k pending events at n = 300) and the paper's own
-#: measurement convention ("until the measurement is stabilized").
-QUEUE_SCENARIOS = [
-    ("leopard", 300, 1.0),    # Fig. 9 headline point, steady state
-    ("leopard", 600, 0.15),   # extended Fig. 9 point (GF(256)-capped)
-    ("hotstuff", 300, 1.0),   # the paper's largest HotStuff deployment
-]
-
-
-# ---------------------------------------------------------------------------
-# Pre-refactor engine reconstruction
-# ---------------------------------------------------------------------------
-
-
-def _uncached_hs_digest(self) -> bytes:
-    """HSBlock.digest as it was before memoization (recomputes the hash)."""
-    return sha_digest(self.canonical_bytes())
-
-
-@contextmanager
-def reference_engine():
-    """Run the enclosed code on the reconstructed pre-refactor engine.
-
-    Flips every reconstructable global: ``SimNode.batched`` selects the
-    per-copy closure transmission path (kept in-tree exactly for this
-    measurement, like the scalar gf256 kernels ``run_micro.py``
-    references), the baseline-protocol digest memoization is unpatched
-    so the reference pays the seed's per-call hashing, and the event
-    queue is pinned to the seed's binary heap (the calendar backend
-    postdates it).
-    """
-    saved_digest = hs_messages.HSBlock.digest
-    saved_backend = sim_events.DEFAULT_BACKEND
-    SimNode.batched = False
-    hs_messages.HSBlock.digest = _uncached_hs_digest
-    sim_events.set_default_backend("heap")
-    try:
-        yield
-    finally:
-        SimNode.batched = True
-        hs_messages.HSBlock.digest = saved_digest
-        sim_events.set_default_backend(saved_backend)
+#: Occupancy counters recorded with a row.
+QUEUE_KEYS = ("bucket_width", "bucket_count", "max_pending", "bucket_loads",
+              "bucket_events", "fanout_slabs", "overflow_migrated",
+              "late_clamped")
 
 
 # ---------------------------------------------------------------------------
@@ -145,113 +88,50 @@ def _build(protocol: str, n: int):
     raise ValueError(f"unknown scenario protocol {protocol!r}")
 
 
-def _one_run(protocol: str, n: int, sim_seconds: float) -> tuple[float, int]:
-    """Build a fresh cluster, run the fixed window, return (wall, events)."""
+def _one_run(protocol: str, n: int, sim_seconds: float
+             ) -> tuple[float, int, dict]:
+    """Build a fresh cluster, run the fixed window.
+
+    Returns ``(wall, events, queue occupancy)``.
+    """
     cluster = _build(protocol, n)
     gc.collect()
     started = time.perf_counter()
     cluster.run(sim_seconds)
     wall = time.perf_counter() - started
-    return wall, cluster.sim.queue.processed
+    queue = cluster.sim.queue
+    return wall, queue.processed, queue.occupancy()
 
 
 def measure_scenario(protocol: str, n: int, sim_seconds: float,
                      repeats: int) -> dict:
-    """Min-of-k walls for both engines, interleaved run-for-run."""
-    # Warm both paths (imports, numpy kernels, code objects).
-    _one_run(protocol, n, sim_seconds)
-    with reference_engine():
-        _one_run(protocol, n, sim_seconds)
-    base_walls: list[float] = []
-    vec_walls: list[float] = []
-    base_events = vec_events = 0
+    """Min-of-k wall for one scenario."""
+    _one_run(protocol, n, sim_seconds)  # warm imports, kernels, code
+    walls = []
+    events, occupancy = 0, {}
     for _ in range(repeats):
-        with reference_engine():
-            wall, base_events = _one_run(protocol, n, sim_seconds)
-        base_walls.append(wall)
-        wall, vec_events = _one_run(protocol, n, sim_seconds)
-        vec_walls.append(wall)
-    base_wall = min(base_walls)
-    vec_wall = min(vec_walls)
+        wall, events, occupancy = _one_run(protocol, n, sim_seconds)
+        walls.append(wall)
+    wall = min(walls)
     return {
         "op": f"engine-{protocol}",
         "k": 0,
         "n": n,
         "size": int(sim_seconds * 1000),  # simulated window, ms
-        "baseline_wall_s": round(base_wall, 4),
-        "vectorized_wall_s": round(vec_wall, 4),
-        "baseline_events": base_events,
-        "vectorized_events": vec_events,
-        "baseline_eps": round(base_events / base_wall, 1),
-        "vectorized_eps": round(vec_events / vec_wall, 1),
-        "speedup": round(base_wall / vec_wall, 2),
+        "vectorized_wall_s": round(wall, 4),
+        "vectorized_events": events,
+        "vectorized_eps": round(events / wall, 1),
+        "queue": {key: occupancy[key] for key in QUEUE_KEYS},
     }
 
 
 # ---------------------------------------------------------------------------
-# Scheduler-backend rows (heap vs calendar) and the n = 1000 commit smoke
+# The n = 1000 commit smoke
 # ---------------------------------------------------------------------------
-
-
-def _one_backend_run(protocol: str, n: int, sim_seconds: float,
-                     backend: str) -> tuple[float, int, dict]:
-    """One fixed-window run on an explicit queue backend."""
-    if protocol == "leopard":
-        cluster = build_leopard_cluster(
-            n=n, seed=6, config=_leopard_config(n), warmup=0.0,
-            queue_backend=backend)
-    elif protocol == "hotstuff":
-        cluster = build_hotstuff_cluster(n=n, seed=6, warmup=0.0,
-                                         queue_backend=backend)
-    else:
-        raise ValueError(f"unknown scenario protocol {protocol!r}")
-    gc.collect()
-    started = time.perf_counter()
-    cluster.run(sim_seconds)
-    wall = time.perf_counter() - started
-    return wall, cluster.sim.queue.processed, cluster.sim.queue.occupancy()
-
-
-def measure_queue_scenario(protocol: str, n: int, sim_seconds: float,
-                           repeats: int) -> dict:
-    """Heap (PR 3 engine) vs calendar backend, interleaved min-of-k."""
-    _one_backend_run(protocol, n, sim_seconds, "heap")
-    _one_backend_run(protocol, n, sim_seconds, "calendar")
-    heap_walls: list[float] = []
-    cal_walls: list[float] = []
-    heap_events = cal_events = 0
-    occupancy: dict = {}
-    for _ in range(repeats):
-        wall, heap_events, _ = _one_backend_run(
-            protocol, n, sim_seconds, "heap")
-        heap_walls.append(wall)
-        wall, cal_events, occupancy = _one_backend_run(
-            protocol, n, sim_seconds, "calendar")
-        cal_walls.append(wall)
-    heap_wall = min(heap_walls)
-    cal_wall = min(cal_walls)
-    return {
-        "op": f"queue-{protocol}",
-        "k": 0,
-        "n": n,
-        "size": int(sim_seconds * 1000),
-        "baseline_wall_s": round(heap_wall, 4),
-        "vectorized_wall_s": round(cal_wall, 4),
-        "baseline_events": heap_events,
-        "vectorized_events": cal_events,
-        "baseline_eps": round(heap_events / heap_wall, 1),
-        "vectorized_eps": round(cal_events / cal_wall, 1),
-        "speedup": round(heap_wall / cal_wall, 2),
-        "queue": {key: occupancy[key]
-                  for key in ("bucket_width", "bucket_count", "max_pending",
-                              "bucket_loads", "bucket_events",
-                              "fanout_slabs", "overflow_migrated",
-                              "late_clamped")},
-    }
 
 
 def measure_commit_smoke(n: int = 1000, sim_cap: float = 4.0) -> dict:
-    """Leopard n = 1000 end-to-end commit on the calendar backend.
+    """Leopard n = 1000 end-to-end commit.
 
     One replica receives one full datablock's worth of requests; the run
     must carry it through dissemination, the O(n²) Ready wave, two BFT
@@ -262,7 +142,7 @@ def measure_commit_smoke(n: int = 1000, sim_cap: float = 4.0) -> dict:
     config = _leopard_config(n)
     cluster = build_leopard_cluster(
         n=n, seed=6, config=config, warmup=0.0, total_rate=1e-6,
-        prime=False, queue_backend="calendar")
+        prime=False)
     client = cluster.clients[0]
     bundle = RequestBundle(client.node_id, 0, config.datablock_size,
                            config.payload_size, 0.0)
@@ -295,87 +175,7 @@ def measure_commit_smoke(n: int = 1000, sim_cap: float = 4.0) -> dict:
         "vectorized_wall_s": round(wall, 4),
         "vectorized_events": events,
         "vectorized_eps": round(events / wall, 1),
-        "queue": {key: occupancy[key]
-                  for key in ("bucket_width", "bucket_count", "max_pending",
-                              "bucket_loads", "bucket_events",
-                              "fanout_slabs", "overflow_migrated",
-                              "late_clamped")},
-    }
-
-
-# ---------------------------------------------------------------------------
-# Wave aggregation: the saturated n = 1000 point, gated on event reduction
-# ---------------------------------------------------------------------------
-
-#: Hard floor on the saturated point's processed-event reduction:
-#: scalar-engine events / wave-engine events.  Event counts are exact
-#: (deterministic per seed), so this gate is noise-free.
-WAVE_REDUCTION_GATE = 10.0
-
-#: Wall-clock budget (seconds) for the wave-aggregated arm of the
-#: saturated point.  Sized ~4x above the measurement on the recording
-#: host so CI-grade machines pass; a miss re-measures once before the
-#: verdict so a transient load spike does not flake the gate.
-WAVE_WALL_BUDGET_S = 60.0
-
-
-def measure_wave_scenario(n: int = 1000, sim_seconds: float = 0.5,
-                          total_rate: float = 2e6) -> dict:
-    """Saturated Leopard n = 1000: wave-aggregated vs scalar delivery.
-
-    The offered load (``total_rate`` requests/sec) is far past the
-    grid's capacity, so every replica's NIC runs a continuous datablock
-    egress ramp and the all-to-all wave traffic dominates the event
-    mix — the Fig. 9 steady-state shape at the paper's upper scale.
-    Both arms run the calendar backend; the wave arm must process at
-    least :data:`WAVE_REDUCTION_GATE` times fewer events (identical
-    simulated outcome, property-tested byte-identical elsewhere) and
-    finish within :data:`WAVE_WALL_BUDGET_S` wall seconds.
-    """
-    def one_run(waves: bool) -> tuple[float, int, dict]:
-        cluster = build_leopard_cluster(
-            n=n, seed=6, config=_leopard_config(n), warmup=0.0,
-            total_rate=total_rate, queue_backend="calendar", waves=waves)
-        gc.collect()
-        started = time.perf_counter()
-        cluster.run(sim_seconds)
-        wall = time.perf_counter() - started
-        return (wall, cluster.sim.queue.processed,
-                cluster.sim.queue.occupancy())
-
-    scalar_wall, scalar_events, _ = one_run(False)
-    wave_wall, wave_events, occupancy = one_run(True)
-    if wave_wall > WAVE_WALL_BUDGET_S:
-        wave_wall, wave_events, occupancy = one_run(True)
-    reduction = scalar_events / wave_events
-    if reduction < WAVE_REDUCTION_GATE:
-        raise SystemExit(
-            f"wave-saturated FAILED: n={n} wave engine processed "
-            f"{wave_events} events vs {scalar_events} scalar "
-            f"(reduction {reduction:.1f}x < {WAVE_REDUCTION_GATE:.0f}x)")
-    if wave_wall > WAVE_WALL_BUDGET_S:
-        raise SystemExit(
-            f"wave-saturated FAILED: wave arm took {wave_wall:.1f}s wall "
-            f"(budget {WAVE_WALL_BUDGET_S:.0f}s) on the saturated "
-            f"n={n} point")
-    return {
-        "op": "wave-saturated-leopard",
-        "k": 0,
-        "n": n,
-        "size": int(sim_seconds * 1000),
-        "baseline_wall_s": round(scalar_wall, 4),
-        "vectorized_wall_s": round(wave_wall, 4),
-        "baseline_events": scalar_events,
-        "vectorized_events": wave_events,
-        "baseline_eps": round(scalar_events / scalar_wall, 1),
-        "vectorized_eps": round(wave_events / wave_wall, 1),
-        "event_reduction": round(reduction, 1),
-        "speedup": round(scalar_wall / wave_wall, 2),
-        "queue": {key: occupancy[key]
-                  for key in ("wave_events", "wave_receivers",
-                              "wave_slabs", "wave_merges",
-                              "scalar_fallbacks", "max_pending",
-                              "late_clamped")},
+        "queue": {key: occupancy[key] for key in QUEUE_KEYS},
     }
 
 
@@ -410,8 +210,8 @@ def measure_telemetry_overhead(n: int = 300, sim_seconds: float = 0.2,
                                repeats: int = 3) -> dict:
     """Interleaved min-of-k A/B of telemetry-off vs shipped defaults.
 
-    Both arms run in one process (host load cancels out of the ratio,
-    like the engine rows).  Fails the bench outright below
+    Both arms run in one process, so host load cancels out of the
+    ratio.  Fails the bench outright below
     :data:`TELEMETRY_GATE`; a first miss re-measures once with doubled
     repeats before the verdict, so a single scheduling hiccup on a busy
     host does not flake the gate.
@@ -457,80 +257,6 @@ def measure_telemetry_overhead(n: int = 300, sim_seconds: float = 0.2,
         "speedup": round(speedup, 3),
     }
 
-
-# ---------------------------------------------------------------------------
-# Allocation probe
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _FixedMsg:
-    size: int = 64_000
-    msg_class: str = "datablock"
-
-    def size_bytes(self) -> int:
-        return self.size
-
-
-class _NullCore:
-    def __init__(self, node_id: int) -> None:
-        self.node_id = node_id
-
-    def start(self, now):
-        return []
-
-    def on_message(self, sender, msg, now):
-        return []
-
-    def on_timer(self, key, now):
-        return []
-
-
-def allocs_per_broadcast(n: int, batched: bool, reps: int = 30) -> float:
-    """Python heap blocks allocated by dispatching one n-1 broadcast.
-
-    Counts only the *dispatch* (egress serialization, jitter draws,
-    arrival scheduling) — the "before any protocol work happens" cost
-    the batched pipeline targets.
-    """
-    SimNode.batched = batched
-    try:
-        network = Network(n, seed=0)
-        sim = Simulation(network, replica_count=n,
-                         metrics=MetricsCollector())
-        for node_id in range(n):
-            sim.add_node(_NullCore(node_id))
-        sim.run(0.0)  # execute the boot events
-        node = sim.nodes[0]
-        effects = [Broadcast(_FixedMsg())]
-        node._apply(effects)  # warm caches (interning, ramp)
-        gc.collect()
-        gc.disable()
-        before = sys.getallocatedblocks()
-        for _ in range(reps):
-            node._apply(effects)
-        after = sys.getallocatedblocks()
-        gc.enable()
-        return (after - before) / reps
-    finally:
-        SimNode.batched = True
-
-
-def measure_allocs(n: int) -> dict:
-    msg = _FixedMsg()
-    base = allocs_per_broadcast(n, batched=False)
-    vec = allocs_per_broadcast(n, batched=True)
-    return {
-        "op": "allocs-broadcast",
-        "k": 0,
-        "n": n,
-        "size": msg.size_bytes(),
-        "baseline_allocs": round(base, 1),
-        "vectorized_allocs": round(vec, 1),
-        "speedup": round(base / vec, 2) if vec else None,
-    }
-
-
 # ---------------------------------------------------------------------------
 # Reporting and the regression gate
 # ---------------------------------------------------------------------------
@@ -540,125 +266,79 @@ def run_bench(mode: str, repeats: int) -> list[dict]:
     scenarios = FULL_SCENARIOS if mode == "full" else SMOKE_SCENARIOS
     rows = [measure_scenario(protocol, n, sim_seconds, repeats)
             for protocol, n, sim_seconds in scenarios]
-    # Scheduler-backend rows and the n=1000 commit smoke gate in BOTH
-    # modes — they are the acceptance scenarios of the calendar queue.
-    rows += [measure_queue_scenario(protocol, n, sim_seconds,
-                                    min(repeats, 3))
-             for protocol, n, sim_seconds in QUEUE_SCENARIOS]
+    # The n=1000 commit smoke and the observability layer's acceptance
+    # row gate in BOTH modes.
     rows.append(measure_commit_smoke())
-    # The wave-aggregation acceptance row: saturated n=1000, gated on a
-    # >= 10x processed-event reduction and a wall budget, in BOTH modes.
-    rows.append(measure_wave_scenario())
-    # The observability layer's own acceptance row, gated in both modes.
     rows.append(measure_telemetry_overhead(repeats=min(repeats, 3)))
-    rows.append(measure_allocs(300 if mode == "full" else 64))
     return rows
 
 
 def render_rows(rows: list[dict]) -> str:
-    lines = [f"{'scenario':<18} {'n':>4} {'window':>7} "
-             f"{'seed wall':>10} {'batch wall':>11} "
-             f"{'seed ev/s':>10} {'batch ev/s':>11} {'speedup':>8}",
-             "-" * 86]
+    lines = [f"{'scenario':<20} {'n':>4} {'window':>7} {'wall':>9} "
+             f"{'events':>9} {'events/s':>10}",
+             "-" * 64]
     for row in rows:
-        if row["op"] == "allocs-broadcast":
+        line = (f"{row['op']:<20} {row['n']:>4} {row['size']:>5}ms "
+                f"{row['vectorized_wall_s']:>8.3f}s "
+                f"{row['vectorized_events']:>9} "
+                f"{row['vectorized_eps']:>10.0f}")
+        if "committed_requests" in row:
+            line += f"  {row['committed_requests']} req committed"
+        if "speedup" in row:
+            line += f"  off/on wall {row['speedup']:.3f}"
+        lines.append(line)
+        queue = row.get("queue")
+        if queue:
             lines.append(
-                f"{row['op']:<18} {row['n']:>4} {'1 bcast':>7} "
-                f"{row['baseline_allocs']:>10.0f} "
-                f"{row['vectorized_allocs']:>11.0f} "
-                f"{'(allocs)':>10} {'(allocs)':>11} "
-                f"{row['speedup']:>7.1f}x")
-        elif row["op"].startswith("wave-saturated"):
-            lines.append(
-                f"{row['op']:<18} {row['n']:>4} {row['size']:>5}ms "
-                f"{row['baseline_wall_s']:>9.3f}s "
-                f"{row['vectorized_wall_s']:>10.3f}s "
-                f"{row['baseline_events']:>10} {row['vectorized_events']:>11} "
-                f"{row['event_reduction']:>7.1f}x")
-            queue = row.get("queue") or {}
-            lines.append(
-                f"{'':<18}   waves: runs={queue.get('wave_events')} "
-                f"receivers={queue.get('wave_receivers')} "
-                f"slabs={queue.get('wave_slabs')} "
-                f"merges={queue.get('wave_merges')} "
-                f"scalar_fallbacks={queue.get('scalar_fallbacks')}")
-        elif row["op"].startswith("commit-smoke"):
-            lines.append(
-                f"{row['op']:<18} {row['n']:>4} {row['size']:>5}ms "
-                f"{'--':>10} {row['vectorized_wall_s']:>10.3f}s "
-                f"{'--':>10} {row['vectorized_eps']:>11.0f} "
-                f"{row['committed_requests']:>5} req")
-            queue = row.get("queue") or {}
-            lines.append(
-                f"{'':<18}   queue: max_pending={queue.get('max_pending')} "
-                f"bucket_loads={queue.get('bucket_loads')} "
-                f"fanout_slabs={queue.get('fanout_slabs')} "
-                f"late_clamped={queue.get('late_clamped')}")
-        else:
-            lines.append(
-                f"{row['op']:<18} {row['n']:>4} {row['size']:>5}ms "
-                f"{row['baseline_wall_s']:>9.3f}s "
-                f"{row['vectorized_wall_s']:>10.3f}s "
-                f"{row['baseline_eps']:>10.0f} {row['vectorized_eps']:>11.0f} "
-                f"{row['speedup']:>7.1f}x")
-            queue = row.get("queue")
-            if queue:
-                lines.append(
-                    f"{'':<18}   queue: "
-                    f"width={queue.get('bucket_width'):.0e} "
-                    f"max_pending={queue.get('max_pending')} "
-                    f"bucket_loads={queue.get('bucket_loads')} "
-                    f"fanout_slabs={queue.get('fanout_slabs')} "
-                    f"overflow_migrated={queue.get('overflow_migrated')} "
-                    f"late_clamped={queue.get('late_clamped')}")
+                f"{'':<20}   queue: "
+                f"width={queue['bucket_width']:.0e} "
+                f"max_pending={queue['max_pending']} "
+                f"bucket_loads={queue['bucket_loads']} "
+                f"fanout_slabs={queue['fanout_slabs']} "
+                f"overflow_migrated={queue['overflow_migrated']} "
+                f"late_clamped={queue['late_clamped']}")
     return "\n".join(lines)
 
 
-def select_gate_metric(baseline: dict) -> tuple[str, str]:
-    """Absolute events/sec on the recording host, speedup elsewhere."""
-    recorded = baseline.get("host")
-    current = host_fingerprint()
-    if recorded == current:
-        return "vectorized_eps", f"same host ({current})"
-    if recorded is None:
-        return "speedup", "baseline has no host fingerprint"
-    return "speedup", (f"host differs (baseline {recorded!r}, "
-                       f"current {current!r})")
+def slow_rows(rows: list[dict], baseline: dict, tolerance: float
+              ) -> dict[tuple, str]:
+    """Rows whose events/sec fell more than ``tolerance`` below the
+    baseline's, keyed by row identity."""
+    return find_regressions(baseline, {"results": rows},
+                            metric="vectorized_eps", tolerance=tolerance)
 
 
 def check_against_baseline(rows: list[dict], baseline_path: Path,
-                           tolerance: float) -> int:
+                           tolerance: float, remeasure) -> int:
+    """The same-host events/sec gate; ``remeasure()`` yields fresh rows
+    for the one retry a dip gets."""
     if not baseline_path.exists():
         print(f"\nno baseline at {baseline_path}; nothing to check "
               "(run with --mode full --output to create one)")
         return 1
     baseline = load_report(baseline_path)
-    current = {"results": rows}
-    metric, reason = select_gate_metric(baseline)
-    regressed = find_regressions(baseline, current, metric=metric,
-                                 tolerance=tolerance)
-    if regressed and metric == "vectorized_eps":
-        # Same host: absolute events/sec dips under transient load.  The
-        # speedup column measures both engines in one process, so load
-        # cancels — a row fails only if both metrics regressed.
-        by_speedup = find_regressions(baseline, current, metric="speedup",
-                                      tolerance=tolerance)
-        noise = {key: line for key, line in regressed.items()
-                 if key not in by_speedup}
-        if noise:
-            print("\nabsolute events/sec dips NOT confirmed by the "
-                  "speedup column (machine noise, not a code regression):")
-            for line in noise.values():
-                print(f"  ~ {line}")
-        regressed = {key: f"{line}  [speedup: {by_speedup[key]}]"
-                     for key, line in regressed.items() if key in by_speedup}
-    if regressed:
-        print(f"\nSIM-ENGINE REGRESSIONS (vs committed baseline, "
-              f"metric {metric}; {reason}):")
-        for line in regressed.values():
+    current = host_fingerprint()
+    if baseline.get("host") != current:
+        print(f"\nsim-bench gate SKIPPED: absolute events/sec only "
+              f"compares on the recording host (baseline "
+              f"{baseline.get('host')!r}, current {current!r}); "
+              "cross-commit simulator speed is cpu_us_per_req on the "
+              "sim-* workloads of benchmarks/ledger")
+        return 0
+    slow = slow_rows(rows, baseline, tolerance)
+    if slow:
+        print("\nevents/sec dipped; re-measuring once:")
+        for line in slow.values():
+            print(f"  ~ {line}")
+        again = slow_rows(remeasure(), baseline, tolerance)
+        slow = {key: line for key, line in again.items() if key in slow}
+    if slow:
+        print("\nSIM-ENGINE REGRESSIONS (vs committed baseline, "
+              "events/sec on the same host, confirmed by a second run):")
+        for line in slow.values():
             print(f"  - {line}")
         return 1
-    print(f"\nsim-bench gate OK (metric {metric}: {reason}; "
+    print(f"\nsim-bench gate OK (events/sec, same host {current}; "
           f"tolerance {tolerance:.0%}, baseline {baseline_path.name})")
     return 0
 
@@ -667,8 +347,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--mode", choices=("smoke", "full"), default="smoke")
     parser.add_argument("--repeats", type=int, default=None,
-                        help="alternating runs per engine "
-                             "(default: 3 smoke, 5 full)")
+                        help="runs per scenario (default: 3 smoke, 5 full)")
     parser.add_argument("--output", type=Path, default=None,
                         help="write the report JSON here")
     parser.add_argument("--baseline", type=Path, default=DEFAULT_BASELINE)
@@ -690,8 +369,11 @@ def main(argv: list[str] | None = None) -> int:
     print(render_rows(rows))
 
     if args.output:
+        history = load_report(args.baseline).get("history") \
+            if args.baseline.exists() else None
         write_report(args.output, name="sim_eventloop", mode=args.mode,
-                     results=rows)
+                     results=rows,
+                     extra={"history": history} if history else None)
         print(f"\nwrote {args.output}")
 
     if args.store:
@@ -703,7 +385,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"\nappended {appended} rows to store {args.store}")
 
     if args.check:
-        return check_against_baseline(rows, args.baseline, args.tolerance)
+        return check_against_baseline(
+            rows, args.baseline, args.tolerance,
+            remeasure=lambda: run_bench(args.mode, repeats))
     return 0
 
 

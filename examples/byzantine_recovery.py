@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from repro.core.config import LeopardConfig
 from repro.harness import build_leopard_cluster
-from repro.sim.faults import Crash, SelectiveDisseminator
+from repro.faults import Crash, SelectiveDisseminator
 
 
 def main() -> None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from repro.core.config import LeopardConfig
 from repro.harness import build_leopard_cluster
-from repro.sim.faults import SelectiveDisseminator
+from repro.faults import SelectiveDisseminator
 
 
 REGIONS = [

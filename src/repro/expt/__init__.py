@@ -5,9 +5,9 @@ The bench scripts emit one-off, host-fingerprinted JSONs; this package
 is the substrate that turns them into a queryable perf trajectory:
 
 * :mod:`repro.expt.config` — declarative experiment configs (YAML/JSON)
-  naming a (protocol, n, rate, payload, scenario, backend,
-  queue_backend, waves) trial matrix, expanded into concrete trials
-  with deterministic per-trial seeds;
+  naming a (protocol, n, rate, payload, scenario, backend) trial
+  matrix, expanded into concrete trials with deterministic per-trial
+  seeds;
 * :mod:`repro.expt.runner` — executes trials locally in parallel (one
   :func:`repro.stats.standard_report` per trial), resuming past valid
   results and retrying infrastructure failures with the same seed;

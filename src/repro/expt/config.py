@@ -47,11 +47,9 @@ from repro.errors import ConfigError
 #: kept literal so config parsing stays import-light).
 PROTOCOLS = ("leopard", "pbft", "hotstuff")
 BACKENDS = ("sim", "live")
-QUEUE_BACKENDS = ("calendar", "heap")
 
 #: Matrix axes in canonical order (also the trial-id field order).
-MATRIX_AXES = ("protocol", "backend", "n", "rate", "payload", "scenario",
-               "queue_backend", "waves")
+MATRIX_AXES = ("protocol", "backend", "n", "rate", "payload", "scenario")
 
 
 @dataclass(frozen=True)
@@ -69,8 +67,6 @@ class Trial:
     bundle_size: int
     datablock_size: int
     scenario: str | None
-    queue_backend: str | None
-    waves: bool
     repeat: int
     seed: int
     trial_id: str
@@ -103,8 +99,7 @@ class ExperimentConfig:
 
 #: Trial fields a config may set (everything but the derived ones).
 _SETTABLE = {"protocol", "backend", "n", "rate", "payload", "duration",
-             "warmup", "bundle_size", "datablock_size", "scenario",
-             "queue_backend", "waves"}
+             "warmup", "bundle_size", "datablock_size", "scenario"}
 
 _BUILTIN_DEFAULTS: dict[str, Any] = {
     "n": 4,
@@ -115,8 +110,6 @@ _BUILTIN_DEFAULTS: dict[str, Any] = {
     "bundle_size": 100,
     "datablock_size": 100,
     "scenario": None,
-    "queue_backend": None,
-    "waves": False,
 }
 
 
@@ -140,10 +133,6 @@ def trial_id_for(cell: dict[str, Any], repeat: int, repeats: int) -> str:
     ]
     if cell.get("scenario"):
         parts.append(f"sc-{_slug(cell['scenario'])}")
-    if cell.get("queue_backend"):
-        parts.append(_slug(cell["queue_backend"]))
-    if cell.get("waves"):
-        parts.append("waves")
     if repeats > 1:
         parts.append(f"rep{repeat}")
     return "_".join(parts)
@@ -173,20 +162,6 @@ def _validate_cell(cell: dict[str, Any], where: str) -> None:
         raise ConfigError(
             f"{where}: unknown backend {cell['backend']!r}; "
             f"choose from {list(BACKENDS)}")
-    queue_backend = cell.get("queue_backend")
-    if queue_backend is not None and queue_backend not in QUEUE_BACKENDS:
-        raise ConfigError(
-            f"{where}: unknown queue_backend {queue_backend!r}; "
-            f"choose from {list(QUEUE_BACKENDS)} or null")
-    if cell.get("waves") and queue_backend == "heap":
-        raise ConfigError(
-            f"{where}: waves requires the calendar queue backend")
-    if cell.get("waves") and cell["backend"] == "live":
-        raise ConfigError(
-            f"{where}: waves is a simulator tier; backend must be sim")
-    if queue_backend is not None and cell["backend"] == "live":
-        raise ConfigError(
-            f"{where}: queue_backend applies to the sim backend only")
     if int(cell["n"]) < 4:
         raise ConfigError(f"{where}: n must be >= 4 (3f+1), got {cell['n']}")
     for name, kind in (("rate", (int, float)), ("payload", int),
@@ -287,8 +262,6 @@ def expand(document: dict[str, Any], *, name: str | None = None
                 bundle_size=int(cell["bundle_size"]),
                 datablock_size=int(cell["datablock_size"]),
                 scenario=cell["scenario"],
-                queue_backend=cell["queue_backend"],
-                waves=bool(cell["waves"]),
                 repeat=repeat,
                 seed=trial_seed(exp_name, trial_id, base_seed),
                 trial_id=trial_id,

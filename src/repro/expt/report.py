@@ -35,13 +35,17 @@ from repro.expt.stats import (
     speedup,
 )
 
-#: Shape fields a cross-protocol comparison holds fixed.
+#: Shape fields a cross-protocol comparison holds fixed.  The last two
+#: are set only on rows recorded while the simulator had selectable
+#: engines; absent or falsy means the one engine there is now.
 SHAPE_FIELDS = ("backend", "n", "rate", "payload", "scenario",
                 "queue_backend", "waves")
 
 
 def _shape_key(row: dict[str, Any]) -> tuple:
-    return tuple(row.get(field) for field in SHAPE_FIELDS)
+    *shape, queue_backend, waves = (row.get(field)
+                                    for field in SHAPE_FIELDS)
+    return (*shape, queue_backend or None, bool(waves))
 
 
 def _shape_label(shape: tuple) -> str:
@@ -78,8 +82,12 @@ def cross_protocol_tables(trial_rows: Sequence[dict[str, Any]],
         cells[(row.get("host"), _shape_key(row))][row["protocol"]].append(
             row)
     tables = []
+    # Shapes sort with an unset field (``None``) first, as text.
     for (host, shape), by_protocol in sorted(
-            cells.items(), key=lambda item: (str(item[0][0]), item[0][1])):
+            cells.items(),
+            key=lambda item: (str(item[0][0]),
+                              tuple("" if field is None else field
+                                    for field in item[0][1]))):
         base_tput = [r["metrics"]["throughput_rps"]
                      for r in by_protocol.get(baseline, ())]
         protocols = {}

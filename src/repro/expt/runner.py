@@ -49,44 +49,35 @@ def _run_sim_trial(trial: dict[str, Any], scenario) -> dict:
         build_pbft_cluster,
     )
     from repro.net.protocols import default_live_config_for
-    from repro.sim import events as sim_events
 
     config = default_live_config_for(
         trial["protocol"], trial["n"], payload_size=trial["payload"],
         datablock_size=trial["datablock_size"])
-    saved = (sim_events.DEFAULT_BACKEND, sim_events.DEFAULT_WAVES)
-    try:
-        if trial.get("queue_backend"):
-            sim_events.set_default_backend(trial["queue_backend"])
-        if trial.get("waves"):
-            sim_events.set_default_waves(True)
-        if trial["protocol"] == "leopard":
-            cluster = build_leopard_cluster(
-                trial["n"], seed=trial["seed"], config=config,
-                total_rate=trial["rate"], clients_per_replica=1,
-                bundle_size=trial["bundle_size"], warmup=trial["warmup"],
-                prime=False)
-        elif trial["protocol"] == "pbft":
-            cluster = build_pbft_cluster(
-                trial["n"], seed=trial["seed"], config=config,
-                total_rate=trial["rate"], client_count=1,
-                bundle_size=trial["bundle_size"], warmup=trial["warmup"])
-        else:
-            cluster = build_hotstuff_cluster(
-                trial["n"], seed=trial["seed"], config=config,
-                total_rate=trial["rate"], client_count=1,
-                bundle_size=trial["bundle_size"], warmup=trial["warmup"])
-        run_seconds = trial["warmup"] + trial["duration"]
-        if scenario is not None:
-            from repro.net.chaos import schedule_scenario_sim
+    if trial["protocol"] == "leopard":
+        cluster = build_leopard_cluster(
+            trial["n"], seed=trial["seed"], config=config,
+            total_rate=trial["rate"], clients_per_replica=1,
+            bundle_size=trial["bundle_size"], warmup=trial["warmup"],
+            prime=False)
+    elif trial["protocol"] == "pbft":
+        cluster = build_pbft_cluster(
+            trial["n"], seed=trial["seed"], config=config,
+            total_rate=trial["rate"], client_count=1,
+            bundle_size=trial["bundle_size"], warmup=trial["warmup"])
+    else:
+        cluster = build_hotstuff_cluster(
+            trial["n"], seed=trial["seed"], config=config,
+            total_rate=trial["rate"], client_count=1,
+            bundle_size=trial["bundle_size"], warmup=trial["warmup"])
+    run_seconds = trial["warmup"] + trial["duration"]
+    if scenario is not None:
+        from repro.net.chaos import schedule_scenario_sim
 
-            run_seconds = max(run_seconds, scenario.duration() + 0.5)
-            cluster.scenario_name = scenario.name
-            schedule_scenario_sim(cluster, scenario)
-        cluster.run(run_seconds)
-        return cluster.report()
-    finally:
-        sim_events.DEFAULT_BACKEND, sim_events.DEFAULT_WAVES = saved
+        run_seconds = max(run_seconds, scenario.duration() + 0.5)
+        cluster.scenario_name = scenario.name
+        schedule_scenario_sim(cluster, scenario)
+    cluster.run(run_seconds)
+    return cluster.report()
 
 
 def _run_live_trial(trial: dict[str, Any], scenario) -> dict:

@@ -149,7 +149,7 @@ class ResultsStore:
         host = doc.get("host")
         key = (f"trial:{trial['experiment']}:{trial['trial_id']}"
                f":{host}:{recorded}")
-        return self.append({
+        row = {
             "kind": "trial",
             "key": key,
             "source": source,
@@ -163,14 +163,18 @@ class ResultsStore:
             "rate": trial["rate"],
             "payload": trial["payload"],
             "scenario": trial.get("scenario"),
-            "queue_backend": trial.get("queue_backend"),
-            "waves": bool(trial.get("waves")),
             "seed": trial["seed"],
             "repeat": trial.get("repeat", 0),
             "report_schema": report.get("schema"),
             "elapsed_s": doc.get("elapsed_s"),
             "metrics": _trial_metrics(report),
-        })
+        }
+        # A result recorded while the simulator had selectable engines
+        # names the one it ran on; keep that so the report labels it.
+        row.update({field: trial[field]
+                    for field in ("queue_backend", "waves")
+                    if trial.get(field)})
+        return self.append(row)
 
     def ingest_results_dir(self, results_dir: str | Path) -> int:
         """Ingest every valid trial-result file under ``results_dir``."""

@@ -12,8 +12,6 @@ This module is deliberately backend-neutral (it imports only
 (:class:`repro.sim.node.SimNode`) and the live TCP runtime
 (:class:`repro.net.node.LiveNode`) both host the same behaviours, so an
 attack validated in simulation runs unchanged against real sockets.
-:mod:`repro.sim.faults` re-exports everything here for backward
-compatibility.
 
 Provided behaviours cover the attacks the paper analyses:
 

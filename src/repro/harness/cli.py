@@ -88,8 +88,9 @@ def _render_live_report(report: dict) -> str:
                 f"delayed={shaping.get('frames_delayed', 0)} "
                 f"lost={shaping.get('frames_lost', 0)}")
     # Schema-tolerant: sim-backed reports carry scheduler occupancy;
-    # live runs (and committed schema-4 artifacts) have none, and
-    # schema-5 artifacts predate the wave counters.
+    # live runs (and committed schema-4 artifacts) have none; only
+    # schema-6/7 artifacts written while the wave tier existed carry
+    # its counters.
     queue = report.get("event_queue")
     if queue:
         line = (f"  event queue: backend={queue.get('backend', '?')} "
@@ -373,9 +374,6 @@ def calibrate_command(argv: list[str]) -> int:
     parser.add_argument("--min-committed", type=int, default=None,
                         help="exit non-zero unless both backends "
                              "committed at least this many requests")
-    parser.add_argument("--queue-backend", choices=("calendar", "heap"),
-                        default=None,
-                        help="event-queue backend for the simulated side")
     parser.add_argument("--use-host-preset", action="store_true",
                         help="run with the committed per-host CostModel "
                              "preset applied to the simulated side "
@@ -416,11 +414,6 @@ def calibrate_command(argv: list[str]) -> int:
         save_host_preset,
         sweep_live_sim,
     )
-
-    if args.queue_backend:
-        from repro.sim.events import set_default_backend
-
-        set_default_backend(args.queue_backend)
 
     costs = DEFAULT_COSTS
     if args.use_host_preset:
@@ -957,31 +950,7 @@ def main(argv: list[str] | None = None) -> int:
              "'calibrate', 'trace', or 'expt'")
     parser.add_argument(
         "--list", action="store_true", help="list experiment ids and exit")
-    parser.add_argument(
-        "--queue-backend", choices=("calendar", "heap"), default=None,
-        help="discrete-event scheduler backend for every simulated "
-             "cluster (default: calendar; 'heap' replays grids on the "
-             "measured reference engine)")
-    parser.add_argument(
-        "--waves", action="store_true",
-        help="enable the calendar backend's wave-aggregation tier for "
-             "every simulated cluster (byte-identical reports, far "
-             "fewer processed events on saturated broadcast grids; "
-             "requires the calendar backend)")
     args = parser.parse_args(argv)
-
-    if args.queue_backend:
-        from repro.sim.events import set_default_backend
-
-        set_default_backend(args.queue_backend)
-    if args.waves:
-        if args.queue_backend == "heap":
-            print("error: --waves requires the calendar queue backend",
-                  file=sys.stderr)
-            return 2
-        from repro.sim.events import set_default_waves
-
-        set_default_waves(True)
 
     if args.list or not args.experiments:
         print("available experiments:")

@@ -38,13 +38,10 @@ from repro.faults import (
     partition_behavior,
 )
 from repro.obs.timeseries import TimeSeries
-from repro.sim.metrics import (
-    MetricsCollector,
-    node_bandwidth_bps,
-    standard_report,
-)
+from repro.sim.metrics import node_bandwidth_bps
 from repro.sim.network import DEFAULT_BANDWIDTH_BPS, Network
 from repro.sim.runner import Simulation
+from repro.stats import MetricsCollector, standard_report
 
 
 @dataclass
@@ -360,8 +357,6 @@ def build_leopard_cluster(
         resubmit: bool = False,
         trace_phases: bool = False,
         gst: float = 0.0,
-        queue_backend: str | None = None,
-        waves: bool | None = None,
         prime: bool = True,
 ) -> Cluster:
     """Build a Leopard deployment of ``n`` replicas plus load clients.
@@ -385,12 +380,6 @@ def build_leopard_cluster(
         resubmit: enable client re-submission on ack timeout.
         trace_phases: collect the Table IV latency-phase breakdown.
         gst: global stabilization time of the partial-synchrony model.
-        queue_backend: event-queue backend (``"calendar"`` / ``"heap"``);
-            ``None`` uses the process default.
-        waves: enable the calendar backend's wave-aggregation tier
-            (byte-identical execution, collapsed ``events_processed``);
-            ``None`` uses the process default
-            (:func:`repro.sim.events.set_default_waves`).
         prime: inject the initial saturating request burst into every
             client (the paper's steady-saturation setup).  Disable for
             targeted workloads — e.g. the n = 1000 single-block commit
@@ -422,7 +411,6 @@ def build_leopard_cluster(
     metrics = MetricsCollector(warmup=warmup, timeseries=TimeSeries())
     sim = Simulation(
         network, replica_count=n, metrics=metrics,
-        queue_backend=queue_backend, waves=waves,
         bucket_width=_bucket_width_hint(
             n, config.datablock_size * config.payload_size, bandwidth_bps))
     registry = KeyRegistry(n, config.f, seed=seed)
@@ -508,8 +496,6 @@ def build_hotstuff_cluster(
         bundle_size: int = 500,
         warmup: float = 1.0,
         faults: dict[int, FaultBehavior] | None = None,
-        queue_backend: str | None = None,
-        waves: bool | None = None,
 ) -> Cluster:
     """Build a chained-HotStuff deployment (clients submit to the leader).
 
@@ -538,7 +524,6 @@ def build_hotstuff_cluster(
     metrics = MetricsCollector(warmup=warmup, timeseries=TimeSeries())
     sim = Simulation(
         network, replica_count=n, metrics=metrics,
-        queue_backend=queue_backend, waves=waves,
         bucket_width=_bucket_width_hint(
             n, config.payload_size * bundle_size, bandwidth_bps,
             fanout=n - 1))
@@ -582,8 +567,6 @@ def build_pbft_cluster(
         bundle_size: int = 500,
         warmup: float = 1.0,
         faults: dict[int, FaultBehavior] | None = None,
-        queue_backend: str | None = None,
-        waves: bool | None = None,
 ) -> Cluster:
     """Build a PBFT / BFT-SMaRt deployment (Fig. 1 baseline)."""
     from repro.baselines.client import BaselineClient
@@ -607,7 +590,6 @@ def build_pbft_cluster(
     metrics = MetricsCollector(warmup=warmup, timeseries=TimeSeries())
     sim = Simulation(
         network, replica_count=n, metrics=metrics,
-        queue_backend=queue_backend, waves=waves,
         bucket_width=_bucket_width_hint(
             n, config.payload_size * bundle_size, bandwidth_bps,
             fanout=n - 1))

@@ -5,8 +5,7 @@ series the paper plots.  Scales are laptop-calibrated: the default
 ("quick") grids simulate the small/medium scales and extend the curve with
 the calibrated analytical model (rows marked ``model``); setting the
 environment variable ``REPRO_FULL=1`` unlocks the paper's full grids
-(n up to 600 on the scalar engine, plus wave-engine anchor points at
-n=1000), which take tens of minutes.
+(n up to 600), which take tens of minutes.
 """
 
 from __future__ import annotations
@@ -15,13 +14,13 @@ import os
 
 from repro.analysis.calibration import DEFAULT_COSTS, CostModel
 from repro.core.config import LeopardConfig, table2_parameters
+from repro.faults import Crash, SelectiveDisseminator
 from repro.harness.cluster import (
     build_hotstuff_cluster,
     build_leopard_cluster,
     build_pbft_cluster,
 )
 from repro.harness.tables import ExperimentResult
-from repro.sim.faults import Crash, SelectiveDisseminator
 from repro.sim.metrics import utilization_breakdown
 from repro.sim.network import DEFAULT_BANDWIDTH_BPS
 
@@ -271,16 +270,6 @@ def fig9_throughput_scaling(duration: float = 3.0) -> ExperimentResult:
         cluster = build_leopard_cluster(n=n, seed=6, config=_leopard_config(n))
         cluster.run(cluster.warmup + duration)
         result.rows.append(("leopard", n, cluster.throughput(), "sim"))
-    if full_scale():
-        # The n=1000 point is only tractable with the wave tier: the
-        # scalar engine takes hours at this scale, the wave engine
-        # produces the byte-identical report in minutes.
-        n = 1000
-        cluster = build_leopard_cluster(
-            n=n, seed=6, config=_leopard_config(n),
-            queue_backend="calendar", waves=True)
-        cluster.run(cluster.warmup + duration)
-        result.rows.append(("leopard", n, cluster.throughput(), "sim-waves"))
     for n in model_ns:
         if n <= leo_sim[-1]:
             continue
@@ -346,29 +335,6 @@ def fig10_scaling_up(duration_factor: float = 6.0) -> ExperimentResult:
             result.rows.append((
                 "hotstuff", n, bw / 1e6, cluster.throughput_bps() / 1e6,
                 cluster.mean_latency()))
-    if full_scale():
-        # One waves-on anchor at the paper's largest scale and the top
-        # bandwidth: the Leopard slope claim is per-n, so a single
-        # n=1000 point suffices and stays tractable (scalar would not).
-        n, bw = 1000, bandwidths[-1]
-        payload_bits = 128 * 8
-        leo_cap = min((bw / 2.0) / payload_bits, leopard_model_rps(n))
-        datablock = 2000
-        dissemination = (datablock * payload_bits * (n - 1)) / (bw / 2.0)
-        config = _leopard_config(
-            n, datablock_size=datablock, bftblock_max_links=100,
-            retrieval_timeout=max(0.5, 3.0 * dissemination),
-            progress_timeout=max(5.0, 10.0 * dissemination),
-            max_batch_delay=1.0)
-        warmup = max(2.0, 3.0 * dissemination)
-        cluster = build_leopard_cluster(
-            n=n, seed=8, config=config, bandwidth_bps=bw,
-            total_rate=0.9 * leo_cap, warmup=warmup,
-            queue_backend="calendar", waves=True)
-        cluster.run(warmup + duration_factor * max(1.0, dissemination))
-        result.rows.append((
-            "leopard", n, bw / 1e6, cluster.throughput_bps() / 1e6,
-            cluster.mean_latency()))
     result.notes.append(
         "expected: goodput linear in bandwidth; Leopard slope ~1/2 at all "
         "n, HotStuff slope ~1/(n-1); Leopard latency above HotStuff, "

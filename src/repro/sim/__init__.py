@@ -2,7 +2,6 @@
 
 from repro.sim.events import EventQueue, EventRecord
 from repro.sim.metrics import (
-    MetricsCollector,
     bandwidth_report,
     node_bandwidth_bps,
     utilization_breakdown,
@@ -14,7 +13,6 @@ from repro.sim.runner import Simulation
 __all__ = [
     "EventQueue",
     "EventRecord",
-    "MetricsCollector",
     "Network",
     "Nic",
     "NicStats",

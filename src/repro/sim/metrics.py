@@ -1,37 +1,15 @@
-"""Experiment metrics: throughput, latency, bandwidth breakdowns.
+"""Bandwidth views over the modelled :class:`repro.sim.network.Network`.
 
-Collects exactly the quantities the paper reports:
-
-* throughput in requests/second over a post-warmup measurement window,
-  measured at an honest replica's execution point (server-side, §VI);
-* request latency from client submission to acknowledgement (client-side);
-* per-node bandwidth, total and bucketed by message class, from
-  :class:`repro.stats.NicStats` — Tables III, Figs. 2/11;
-* latency-phase traces for the Table IV breakdown;
-* data-plane wall-clock breakdowns (erasure coding, hashing) via an
-  attached :class:`repro.perf.PerfCounters` — cluster builders hand the
-  collector's counters to each replica so experiment runs report
-  coding/hashing time alongside protocol metrics.
-
-The backend-neutral pieces — :class:`MetricsCollector`,
-:class:`LatencySample`, :class:`NicStats` and :func:`standard_report` —
-live in :mod:`repro.stats` (shared with the live TCP runtime, which must
-not import simulator machinery for accounting) and are re-exported here
-for the simulator-facing callers.  This module keeps only the helpers
-coupled to the modelled :class:`repro.sim.network.Network`.
+Per-node bandwidth, total and bucketed by message class, from the
+:class:`repro.stats.NicStats` counters the modelled NICs keep — the
+quantities behind Tables III and Figs. 2/11.  The backend-neutral
+collector and report (:class:`repro.stats.MetricsCollector`,
+:func:`repro.stats.standard_report`) live in :mod:`repro.stats`.
 """
 
 from __future__ import annotations
 
 from repro.sim.network import Network
-from repro.stats import (  # noqa: F401  (re-exported sim-facing API)
-    REPORT_SCHEMA,
-    LatencySample,
-    MetricsCollector,
-    NicStats,
-    percentile,
-    standard_report,
-)
 
 
 def bandwidth_report(network: Network, node_id: int, duration: float

@@ -116,26 +116,21 @@ class Transmission(EventRecord):
     """Typed event record for one message in flight to 1..n-1 destinations.
 
     *One* record is allocated per send — unicast or whole multicast —
-    and its bound methods serve as the heap callbacks for every copy,
-    with the destination id riding in the heap entry's payload slot:
-
-    * :meth:`arrive` fires at a copy's wire-arrival time, reserves the
-      destination's ingress serializer and re-enqueues :meth:`deliver`
-      at delivery-complete time;
-    * :meth:`deliver` hands the copy to the router.
+    and its bound :meth:`arrive` is the queue callback for every copy,
+    with the destination id riding in the entry's payload slot.
 
     ``size`` and the interned stats class id are captured once at send
     time, so ``msg.size_bytes()`` and the class-name lookup happen once
-    per *transmission*, not once per phase per destination.
+    per *transmission*, not once per destination.
 
     :meth:`arrive` fires at a copy's wire-arrival time: it reserves the
-    destination's ingress serializer and hands the copy — together with
-    its computed delivery-complete time — to the router, which reserves
-    the destination's CPU lane and schedules the core callback in one
-    event.  Reserving in arrival order is equivalent to the two-phase
-    reserve-at-delivery pipeline: both the rx serializer and the CPU
-    lanes are FIFO, so a node's delivery-complete times are monotone in
-    arrival order and the resulting schedules coincide.
+    destination's ingress serializer and, against the computed
+    delivery-complete time, the destination's CPU lane, then schedules
+    the core callback in one event.  Reserving in arrival order is
+    equivalent to reserving at delivery-complete time: both the rx
+    serializer and the CPU lanes are FIFO, so a node's
+    delivery-complete times are monotone in arrival order and the
+    resulting schedules coincide.
     """
 
     __slots__ = ("network", "nics", "queue", "router", "nodes", "src",
@@ -165,9 +160,9 @@ class Transmission(EventRecord):
     def arrive(self, dest: int) -> None:
         """One copy reached ``dest``'s NIC: serialize in, then deliver.
 
-        This is the innermost per-copy frame of the batched pipeline: rx
+        This is the innermost per-copy frame of the simulator: rx
         serialization, byte accounting, CPU-lane reservation and the
-        core-callback heap insert all happen here, against the host's
+        core-callback insert all happen here, against the host's
         documented hot-path fields (``_honest``, the two lane clocks,
         ``_deliver_ready``).  Faulty hosts and routers without a
         ``nodes`` map take the general :meth:`SimNode.receive_at` path.
@@ -216,160 +211,6 @@ class Transmission(EventRecord):
             start = busy if busy > delivered else delivered
             ready_at = node.ctrl_busy_until = start + cost
         queue.push(ready_at, node._deliver_ready, (self.src, msg))
-
-    # -- wave-aggregated delivery (calendar backend, waves=True) --------
-
-    def arrive_wave(self, dest: int) -> float | None:
-        """Wave-tier sibling of :meth:`arrive` for a single arrival.
-
-        Identical rx serialization, byte accounting and CPU-lane
-        reservation at the identical ``(time, seq)`` — the only change
-        is where the delivery continuation is queued: an honest,
-        wave-eligible destination continues inside the wave tier
-        (:meth:`SimNode._deliver_ready_wave` on its per-lane FIFO
-        stream); everything else — faulty, crashed, shaped-by-fault or
-        traced nodes — transparently falls back to the scalar path,
-        which also demotes waves already registered before a chaos
-        scenario faulted the node (eligibility is re-checked at *fire*
-        time, never cached at send time).
-
-        Returns the wave continuation's timestamp, or ``None`` when the
-        arrival took a scalar or router path — the merged-slab runner
-        (:meth:`CalendarEventQueue._run_merged`) uses this to stop its
-        batch exactly where the batch callback would.
-        """
-        nic = self.nics[dest]
-        queue = self.queue
-        now = queue._now
-        size = self.size
-        busy = nic.rx_busy_until
-        start = busy if busy > now else now
-        delivered = nic.rx_busy_until = (
-            start + size * 16.0 / nic.bandwidth_bps)
-        stats = nic.stats
-        class_id = self.class_id
-        try:
-            stats._recv_bytes[class_id] += size
-            stats._recv_msgs[class_id] += 1
-        except IndexError:
-            stats.bump_recv(class_id, size)
-        nodes = self.nodes
-        if nodes is None:
-            self.router.deliver_at(self.src, dest, self.msg, delivered)
-            return None
-        node = nodes.get(dest)
-        if node is None:
-            return None
-        if not node._honest:
-            queue._scalar_fallbacks += 1
-            node.receive_at(self.src, self.msg, delivered)
-            return None
-        msg = self.msg
-        model = node.cpu_model
-        if model is self.cost_model:
-            cost = self.recv_cost
-        else:
-            cost = model(msg, True)
-            self.cost_model = model
-            self.recv_cost = cost
-        if self.data_plane:
-            busy = node.data_busy_until
-            start = busy if busy > delivered else delivered
-            ready_at = node.data_busy_until = start + cost
-            lane = dest * 2
-        else:
-            busy = node.ctrl_busy_until
-            start = busy if busy > delivered else delivered
-            ready_at = node.ctrl_busy_until = start + cost
-            lane = dest * 2 + 1
-        if node.wave_ok:
-            queue.wave_push(ready_at, node._deliver_ready_wave,
-                            (self.src, msg), lane)
-            return ready_at
-        queue._scalar_fallbacks += 1
-        queue.push(ready_at, node._deliver_ready, (self.src, msg))
-        return None
-
-    def arrive_wave_many(self, times: list, dests: list, start: int,
-                         stop: int) -> int:
-        """Batch segment of a wave slab: arrivals ``start..stop-1``.
-
-        Called by :meth:`CalendarEventQueue._drain_waves` with a
-        contiguous run of arrivals already proven to precede every
-        other pending event.  Each element executes at its exact
-        timestamp (the clock is stepped per element) against
-        *disjoint* per-destination state, so processing them
-        back-to-back is order-exact — with two stop conditions the
-        queue cannot see:
-
-        * a follow-on continuation this batch created would fire before
-          the next arrival (``min_follow``), or
-        * an element fell back to the scalar path with an unknown
-          follow-on time (faulty destination).
-
-        Returns the number of elements consumed (>= 1).
-        """
-        queue = self.queue
-        nics = self.nics
-        nodes = self.nodes
-        size = self.size
-        ser = size * 16.0
-        class_id = self.class_id
-        data_plane = self.data_plane
-        src = self.src
-        msg = self.msg
-        min_follow = float("inf")
-        i = start
-        while i < stop:
-            t = times[i]
-            if min_follow < t:
-                break
-            dest = dests[i]
-            queue._now = t
-            i += 1
-            nic = nics[dest]
-            busy = nic.rx_busy_until
-            rx_start = busy if busy > t else t
-            delivered = nic.rx_busy_until = rx_start + ser / nic.bandwidth_bps
-            stats = nic.stats
-            try:
-                stats._recv_bytes[class_id] += size
-                stats._recv_msgs[class_id] += 1
-            except IndexError:
-                stats.bump_recv(class_id, size)
-            node = nodes.get(dest)
-            if node is None:
-                continue
-            if not node._honest:
-                queue._scalar_fallbacks += 1
-                node.receive_at(src, msg, delivered)
-                break
-            model = node.cpu_model
-            if model is self.cost_model:
-                cost = self.recv_cost
-            else:
-                cost = model(msg, True)
-                self.cost_model = model
-                self.recv_cost = cost
-            if data_plane:
-                busy = node.data_busy_until
-                s = busy if busy > delivered else delivered
-                ready_at = node.data_busy_until = s + cost
-                lane = dest * 2
-            else:
-                busy = node.ctrl_busy_until
-                s = busy if busy > delivered else delivered
-                ready_at = node.ctrl_busy_until = s + cost
-                lane = dest * 2 + 1
-            if node.wave_ok:
-                queue.wave_push(ready_at, node._deliver_ready_wave,
-                                (src, msg), lane)
-            else:
-                queue._scalar_fallbacks += 1
-                queue.push(ready_at, node._deliver_ready, (src, msg))
-            if ready_at < min_follow:
-                min_follow = ready_at
-        return i - start
 
 
 class Network:
@@ -431,38 +272,6 @@ class Network:
             delay += float(self._rng.random()) * self.pre_gst_extra_delay
         return delay
 
-    # ------------------------------------------------------------------
-    # Scalar two-phase transmission (unicast + tests)
-    # ------------------------------------------------------------------
-
-    def send_phase(self, src: int, msg: Message, now: float) -> float:
-        """Egress half of a unicast: serialize at the sender, propagate.
-
-        Returns the time the message *arrives* at the destination NIC.
-        The ingress half (:meth:`receive_phase`) must be invoked at that
-        time so receiver-side queueing is reserved in arrival order.
-        """
-        size = msg.size_bytes()
-        src_nic = self.nics[src]
-        departed = src_nic.occupy_tx(now, size)
-        src_nic.stats.record_send(msg.msg_class, size)
-        return departed + self.propagation_delay(departed)
-
-    def receive_phase(self, dst: int, msg: Message, now: float) -> float:
-        """Ingress half: serialize through the receiver's NIC at arrival.
-
-        Returns the delivery-complete time (when the payload is fully in).
-        """
-        size = msg.size_bytes()
-        dst_nic = self.nics[dst]
-        delivered = dst_nic.occupy_rx(now, size)
-        dst_nic.stats.record_recv(msg.msg_class, size)
-        return delivered
-
-    # ------------------------------------------------------------------
-    # Batched transmission fast path
-    # ------------------------------------------------------------------
-
     def send_unicast(self, src: int, dest: int, msg: Message, now: float,
                      queue: EventQueue, router) -> float:
         """Full unicast pipeline: egress, propagation, arrival scheduling.
@@ -480,31 +289,6 @@ class Network:
             arrival = departed + self.propagation_delay(departed)
             flight = Transmission(self, queue, router, src, msg, size)
             queue.schedule_call(arrival, flight.arrive, dest)
-        return departed
-
-    def send_unicast_wave(self, src: int, dest: int, msg: Message,
-                          now: float, queue: EventQueue, router) -> float:
-        """Wave-tier unicast: identical pipeline, wave-registered arrival.
-
-        Egress serialization, byte accounting and the propagation-delay
-        RNG draw are exactly :meth:`send_unicast` (same draw order, same
-        NIC state); only the arrival event rides the wave tier's head
-        heap instead of the scalar queue.  This keeps a quorum wave's
-        vote fan-in — the n-1 Ready unicasts a datablock broadcast
-        triggers — inside the aggregated tier, so the whole
-        (datablock, round) chain counts a handful of processed events.
-        """
-        size = msg.size_bytes()
-        src_nic = self.nics[src]
-        departed = src_nic.occupy_tx(now, size)
-        src_nic.stats.record_send(msg.msg_class, size)
-        if router is not None:
-            arrival = departed + self.propagation_delay(departed)
-            flight = Transmission(self, queue, router, src, msg, size)
-            if queue.wave_enabled and flight.nodes is not None:
-                queue.wave_push_heap(arrival, flight.arrive_wave, dest)
-            else:
-                queue.schedule_call(arrival, flight.arrive, dest)
         return departed
 
     def send_broadcast(self, src: int, dests: list[int], msg: Message,
@@ -551,18 +335,6 @@ class Network:
             extra = self._rng.random(count) * self.pre_gst_extra_delay
             arrivals += np.where(departures < self.gst, extra, 0.0)
         flight = Transmission(self, queue, router, src, msg, size)
-        if queue.wave_enabled and flight.nodes is not None:
-            # Wave eligibility is decided per *receiver* at fire time
-            # (arrive_wave_many), so the whole broadcast registers as
-            # one wave unconditionally — faulty or traced receivers
-            # demote their own copies to the scalar path when the wave
-            # reaches them.
-            queue.schedule_wave(arrivals, flight.arrive_wave_many, dests,
-                                flight.arrive_wave)
-            return src_nic.tx_busy_until
-        # The arrival vector is handed over as-is: the calendar backend
-        # slices it into per-bucket pre-sorted slabs (arrival coalescing),
-        # the heap backend materialises a list and bulk-inserts.
         queue.schedule_fanout(arrivals, flight.arrive, dests)
         return src_nic.tx_busy_until
 

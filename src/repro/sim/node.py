@@ -8,7 +8,7 @@ two cross-cutting models:
   has a single modelled CPU whose busy time delays message handling; this is
   what caps throughput when bandwidth is plentiful (see
   :mod:`repro.analysis.calibration`);
-* a **fault behaviour** (:mod:`repro.sim.faults`) that can rewrite outgoing
+* a **fault behaviour** (:mod:`repro.faults`) that can rewrite outgoing
   effects and drop incoming messages, realising the paper's Byzantine
   adversary.
 """
@@ -32,8 +32,8 @@ from repro.interfaces import (
     Trace,
 )
 from repro.sim.events import EventQueue
-from repro.sim.metrics import MetricsCollector
 from repro.sim.network import Network
+from repro.stats import MetricsCollector
 
 CpuModel = Callable[[Message, bool], float]
 
@@ -56,21 +56,10 @@ class SimNode:
         fault: Byzantine behaviour wrapper (honest by default).
     """
 
-    #: Engine selector.  ``True`` (default) routes transmissions through
-    #: the batched pipeline (:meth:`Network.send_broadcast` /
-    #: :meth:`Network.send_unicast`, typed event records, bulk heap
-    #: inserts).  ``False`` falls back to the pre-batching per-copy
-    #: closure engine (:meth:`_transmit`), kept as the measured reference
-    #: implementation for ``benchmarks/run_sim_bench.py`` — the same
-    #: pattern the coding plane uses (scalar gf256 kernels stay
-    #: importable for ``run_micro.py``).  Class attribute so the bench
-    #: can flip one global switch.
-    batched = True
-
     __slots__ = ("core", "node_id", "network", "queue", "metrics",
                  "replica_ids", "cpu_model", "fault", "_honest",
                  "data_busy_until", "ctrl_busy_until", "_timer_generation",
-                 "_timer_seq", "router", "wave_ok")
+                 "_timer_seq", "router")
 
     def __init__(self, core: ProtocolCore, network: Network,
                  queue: EventQueue, metrics: MetricsCollector,
@@ -88,11 +77,6 @@ class SimNode:
         #: Fast-path flag: honest nodes skip the crash/drop checks and
         #: the effect-rewrite hook on every delivery.
         self._honest = fault is HONEST
-        #: Wave-tier eligibility (with :attr:`_honest`, re-checked at
-        #: every wave fire): cleared when a tracer wraps the core, so
-        #: traced requests always take the exact scalar path and
-        #: lifecycle traces stay complete.
-        self.wave_ok = True
         self.data_busy_until = 0.0
         self.ctrl_busy_until = 0.0
         self._timer_generation: dict[Hashable, int] = {}
@@ -122,7 +106,6 @@ class SimNode:
 
         if not isinstance(self.core, TracedCore):
             self.core = TracedCore(self.core, tracer)
-        self.wave_ok = False
 
     def _backlog_probe(self) -> float:
         """Seconds of queued egress work at this node's NIC."""
@@ -153,12 +136,9 @@ class SimNode:
     def deliver(self, sender: int, msg: Message) -> None:
         """Called when a message finishes arriving *now*.
 
-        The delivery entry point of the legacy two-phase pipeline (and of
-        direct test/prime injections): CPU-lane reservation happens at
-        delivery-complete time, and the ready callback binds a closure —
-        kept structurally seed-faithful so the sim macro-benchmark's
-        reference mode measures the pre-refactor cost profile.  Batched
-        transmissions enter through :meth:`receive_at` instead.
+        The injection entry point (request priming, tests): the CPU lane
+        is reserved at delivery-complete time.  Modelled transmissions
+        enter through :meth:`receive_at` instead.
         """
         now = self.queue.now
         if self.fault.crashed:
@@ -179,19 +159,16 @@ class SimNode:
                    ) -> None:
         """Reserve the CPU lane for a message that completes at ``delivered``.
 
-        Called at wire-*arrival* time by the batched pipeline
-        (:meth:`repro.sim.network.Transmission.arrive`), which merges the
-        rx-completion and CPU-ready events into one: the lane is reserved
-        immediately from ``max(lane_busy, delivered)`` and a single event
-        fires the core when the work completes.  Lane reservations made
-        in arrival order are the schedule the two-phase pipeline produces
-        — delivery-complete times are FIFO-monotone per node — so the
-        cost model is unchanged; only the event count per message drops
-        from three to two.
+        Called at wire-*arrival* time
+        (:meth:`repro.sim.network.Transmission.arrive` takes this path
+        for faulty hosts): the lane is reserved immediately from
+        ``max(lane_busy, delivered)`` and a single event fires the core
+        when the work completes.  Delivery-complete times are
+        FIFO-monotone per node, so reserving in arrival order yields the
+        schedule reserving at delivery-complete time would.
 
-        Fault timing: crash/drop checks run at arrival time (and a
-        crashed node re-checks at the core callback), which brackets the
-        legacy check at delivery-complete time.
+        Fault timing: crash/drop checks run at arrival time, and a
+        crashed node re-checks at the core callback.
         """
         queue = self.queue
         if not self._honest:
@@ -219,27 +196,6 @@ class SimNode:
         if effects or not self._honest:
             self._apply(effects)
 
-    def _deliver_ready_wave(self, pending: tuple[int, Message]) -> None:
-        """Wave-tier CPU-lane completion (batched quorum advancement).
-
-        Runs inside a drained wave run: the core is invoked at the
-        exact time and sequence the scalar engine would use, so quorum
-        counters (e.g. :class:`repro.core.datablock_pool.ReadyTracker`)
-        advance identically — the wave merely keeps the whole chain
-        counted as one processed event.  A node faulted *after* this
-        continuation was queued (mid-run chaos injection) demotes to
-        the exact scalar delivery, which applies the crash/rewrite
-        semantics.
-        """
-        if not self._honest:
-            self.queue._scalar_fallbacks += 1
-            self._deliver_ready(pending)
-            return
-        effects = self.core.on_message(pending[0], pending[1],
-                                       self.queue._now)
-        if effects:
-            self._interpret_wave(effects)
-
     def _fire_timer(self, armed: tuple[Hashable, int]) -> None:
         key, generation = armed
         generations = self._timer_generation
@@ -249,34 +205,10 @@ class SimNode:
         if not self.fault.crashed:
             self._apply(self.core.on_timer(key, self.queue._now))
 
-    def _interpret_wave(self, effects: list[Effect]) -> None:
-        """Interpret effects from a wave continuation.
-
-        The dominant shape — one :class:`Send` (a quorum vote or an
-        ack) — stays inside the wave tier via
-        :meth:`Network.send_unicast_wave`, with CPU charging identical
-        to :meth:`_interpret`.  Every other effect list takes the
-        standard interpreter (broadcasts re-enter the wave tier through
-        :meth:`Network.send_broadcast` on their own).
-        """
-        if len(effects) == 1:
-            effect = effects[0]
-            if type(effect) is Send:
-                msg = effect.msg
-                self._charge_cpu(
-                    self.cpu_model(msg, False), msg.msg_class)
-                self.network.send_unicast_wave(
-                    self.node_id, effect.dest, msg, self.queue._now,
-                    self.queue, self.router)
-                return
-        self._interpret(effects)
-
     def _apply(self, effects: list[Effect]) -> None:
-        batched = self.batched
-        if not self._honest or not batched:
-            # Honest pass-through is the identity; the batched engine
-            # skips it, the reference engine keeps the seed's
-            # unconditional rewrite hook.
+        if not self._honest:
+            # Honest pass-through is the identity, so honest nodes skip
+            # the rewrite hook.
             effects = self.fault.filter_effects(effects, self.queue._now)
         if not effects:
             return
@@ -284,19 +216,15 @@ class SimNode:
 
     def _interpret(self, effects: list[Effect]) -> None:
         """Execute already-filtered effects (no fault rewrite pass)."""
-        batched = self.batched
         now = self.queue._now
         for effect in effects:
             if isinstance(effect, Send):
-                if batched:
-                    msg = effect.msg
-                    self._charge_cpu(
-                        self.cpu_model(msg, False), msg.msg_class)
-                    self.network.send_unicast(
-                        self.node_id, effect.dest, msg, self.queue.now,
-                        self.queue, self.router)
-                else:
-                    self._transmit(effect.dest, effect.msg)
+                msg = effect.msg
+                self._charge_cpu(
+                    self.cpu_model(msg, False), msg.msg_class)
+                self.network.send_unicast(
+                    self.node_id, effect.dest, msg, self.queue.now,
+                    self.queue, self.router)
             elif isinstance(effect, Broadcast):
                 msg = effect.msg
                 excluded = set(effect.exclude)
@@ -305,31 +233,22 @@ class SimNode:
                          if dest not in excluded]
                 if not dests:
                     continue
-                if batched:
-                    # All copies charge the same cost back-to-back on the
-                    # same lane, so one combined charge is equivalent to
-                    # the per-copy loop.
-                    self._charge_cpu(
-                        self.cpu_model(msg, False) * len(dests),
-                        msg.msg_class)
-                    self.network.send_broadcast(
-                        self.node_id, dests, msg, self.queue.now,
-                        self.queue, self.router)
-                else:
-                    for dest in dests:
-                        self._transmit(dest, msg)
+                # All copies charge the same cost back-to-back on the
+                # same lane, so one combined charge is equivalent to
+                # the per-copy loop.
+                self._charge_cpu(
+                    self.cpu_model(msg, False) * len(dests),
+                    msg.msg_class)
+                self.network.send_broadcast(
+                    self.node_id, dests, msg, self.queue.now,
+                    self.queue, self.router)
             elif isinstance(effect, SetTimer):
                 generation = self._timer_seq = self._timer_seq + 1
                 self._timer_generation[effect.key] = generation
-                if batched and effect.delay >= 0.0:
-                    # Payload-carrying push (never in the past: delay >= 0).
-                    self.queue.push(now + effect.delay, self._fire_timer,
-                                    (effect.key, generation))
-                else:
-                    key = effect.key
-                    self.queue.schedule_in(
-                        effect.delay,
-                        lambda k=key, g=generation: self._fire_timer((k, g)))
+                # push's late check rejects a delay more than
+                # LATE_TOLERANCE in the past.
+                self.queue.push(now + effect.delay, self._fire_timer,
+                                (effect.key, generation))
             elif isinstance(effect, CancelTimer):
                 self._timer_generation.pop(effect.key, None)
             elif isinstance(effect, Executed):
@@ -363,25 +282,3 @@ class SimNode:
             self.metrics.record_retransmission()
         # Unknown trace kinds are allowed and ignored: cores may emit extra
         # diagnostics that only specific tests look at.
-
-    def _transmit(self, dest: int, msg: Message) -> None:
-        """The pre-batching per-copy transmission path (reference engine).
-
-        Two closures and three scalar heap inserts per message copy; only
-        used when :attr:`batched` is False, which the sim macro-benchmark
-        does to measure the batched pipeline's speedup against it.
-        """
-        self._charge_cpu(self.cpu_model(msg, False), msg.msg_class)
-        arrival = self.network.send_phase(self.node_id, msg, self.queue.now)
-        router = self.router
-        if router is None:
-            return
-        src = self.node_id
-        network = self.network
-        queue = self.queue
-
-        def _arrive() -> None:
-            delivered = network.receive_phase(dest, msg, queue.now)
-            queue.schedule(delivered, lambda: router.deliver(src, dest, msg))
-
-        queue.schedule(arrival, _arrive)

@@ -14,9 +14,9 @@ from repro.errors import SimulationError
 from repro.faults import HONEST, FaultBehavior
 from repro.interfaces import Message, ProtocolCore
 from repro.sim.events import EventQueue
-from repro.sim.metrics import MetricsCollector
 from repro.sim.network import Network
 from repro.sim.node import CpuModel, SimNode, zero_cpu
+from repro.stats import MetricsCollector
 
 
 class Simulation:
@@ -27,31 +27,18 @@ class Simulation:
         replica_count: how many of the low node ids are replicas; broadcasts
             expand to exactly this id range.
         metrics: optional pre-configured metrics sink.
-        queue_backend: event-queue backend (``"calendar"`` / ``"heap"``);
-            defaults to the process-wide default
-            (:func:`repro.sim.events.set_default_backend`).
         bucket_width: calendar bucket width in seconds; cluster builders
             size it from the NIC serialization quantum so one bucket
-            spans roughly one broadcast egress ramp.  Ignored by the
-            heap backend.
-        waves: enable the calendar backend's wave-aggregation tier
-            (``None`` inherits the process default,
-            :func:`repro.sim.events.set_default_waves`).  Execution is
-            event-for-event identical; only ``events_processed``
-            collapses (one event per drained wave run).
+            spans roughly one broadcast egress ramp.
     """
 
     def __init__(self, network: Network, replica_count: int,
                  metrics: MetricsCollector | None = None,
-                 queue_backend: str | None = None,
-                 bucket_width: float | None = None,
-                 waves: bool | None = None) -> None:
+                 bucket_width: float | None = None) -> None:
         if replica_count > network.node_count:
             raise SimulationError("more replicas than network nodes")
         self.network = network
-        self.queue = EventQueue(backend=queue_backend,
-                                bucket_width=bucket_width,
-                                waves=waves)
+        self.queue = EventQueue(bucket_width=bucket_width)
         self.metrics = metrics if metrics is not None else MetricsCollector()
         self.replica_count = replica_count
         self.nodes: dict[int, SimNode] = {}
@@ -87,7 +74,7 @@ class Simulation:
 
     def deliver_at(self, src: int, dest: int, msg: Message,
                    delivered: float) -> None:
-        """Route a transmission that completes at ``delivered`` (batched path).
+        """Route a transmission that completes at ``delivered``.
 
         Called at wire-arrival time by
         :meth:`repro.sim.network.Transmission.arrive`; the destination

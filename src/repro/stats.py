@@ -333,11 +333,12 @@ class MetricsCollector:
 #: restart and link-shaping counters; ``None`` for a clean run); v5 added
 #: ``timeseries`` (interval throughput/latency/backlog curve with chaos
 #: annotations, :mod:`repro.obs.timeseries`; ``None`` when no collector
-#: was attached); v6 added the wave-aggregation counters to the
+#: was attached); v6 added wave-aggregation counters to the
 #: ``event_queue`` section (``waves``, ``wave_events``,
 #: ``wave_receivers``, ``wave_slabs``, ``wave_pending``,
-#: ``scalar_fallbacks`` — both scheduler backends emit the keys, the
-#: scalar engines always report zeros); v7 added ``recovery`` (crash
+#: ``scalar_fallbacks``) — the wave tier is gone, so reports written
+#: since carry only a constant ``wave_events: 0`` and consumers read
+#: the rest with ``.get``; v7 added ``recovery`` (crash
 #: recovery: per-replica catch-up counters and executed-tail digests,
 #: durable-snapshot counts in ``--processes`` mode; ``None`` for runs
 #: with no recovery activity) and ``retransmissions`` (client bundles

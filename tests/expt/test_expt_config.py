@@ -42,7 +42,6 @@ class TestExpand:
         assert trial.payload == 128
         assert trial.bundle_size == 100
         assert trial.scenario is None
-        assert trial.waves is False
 
     def test_user_defaults_override_builtin(self):
         doc = dict(BASIC, defaults={"rate": 500.0, "bundle_size": 10})
@@ -99,11 +98,8 @@ class TestExpand:
     @pytest.mark.parametrize("cell,error", [
         ({"protocol": "raft"}, "unknown protocol"),
         ({"backend": "cloud"}, "unknown backend"),
-        ({"queue_backend": "fifo", "backend": "sim"}, "unknown queue_backend"),
-        ({"waves": True, "queue_backend": "heap", "backend": "sim"},
-         "waves requires the calendar"),
-        ({"waves": True, "backend": "live"}, "backend must be sim"),
-        ({"queue_backend": "calendar", "backend": "live"}, "sim backend only"),
+        # A config from when the simulator had selectable engines.
+        ({"waves": True}, "unknown trial fields"),
         ({"n": 3}, "n must be >= 4"),
         ({"rate": -5.0}, "rate must be a positive"),
     ])
@@ -188,10 +184,7 @@ class TestCommittedConfigs:
     def test_full_config(self):
         cfg = load_config("benchmarks/experiments/full.yaml")
         assert cfg.name == "full"
-        assert len(cfg.trials) == 45
-        waves = [t for t in cfg.trials if t.waves]
-        assert len(waves) == 9
-        assert all(t.queue_backend == "calendar" for t in waves)
+        assert len(cfg.trials) == 36
         # Large-n sim cells stretch the window so leopard commits.
         assert all(t.duration >= 2.0 for t in cfg.trials
                    if t.backend == "sim" and t.n >= 150)

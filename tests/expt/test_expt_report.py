@@ -38,8 +38,6 @@ def trial_row(protocol: str, throughput: float, host: str = "hostA",
         "rate": 2000.0,
         "payload": 128,
         "scenario": None,
-        "queue_backend": None,
-        "waves": False,
         "seed": 1,
         "repeat": repeat,
         "metrics": {"throughput_rps": throughput, "latency_mean_s": 0.01,
@@ -86,6 +84,32 @@ class TestCrossProtocolTables:
         tables = cross_protocol_tables(rows)
         assert len(tables) == 2
         assert {t["shape"]["n"] for t in tables} == {64, 150}
+
+
+    def test_pre_collapse_rows_group_and_label(self, tmp_path):
+        # A weekly store keeps rows written while the simulator had
+        # selectable engines: default rows carry explicit null/false
+        # engine fields, wave-tier rows name their engine.  Rows written
+        # since carry neither field and join the old default shape.
+        store = ResultsStore(tmp_path / "s.jsonl")
+        old_default, new = samples("leopard", [200.0, 210.0], n=300)
+        old_default.update(queue_backend=None, waves=False)
+        store.append_many([old_default, new])
+        # An old wave-tier result file ingested today keeps its label.
+        store.ingest_trial_result({
+            "kind": "trial_result", "host": "hostA", "recorded_at": 2.0,
+            "trial": {"experiment": "unit", "trial_id": "waves-row",
+                      "protocol": "leopard", "backend": "sim", "n": 300,
+                      "rate": 2000.0, "payload": 128, "scenario": None,
+                      "queue_backend": "calendar", "waves": True,
+                      "repeat": 0, "seed": 1},
+            "report": {"schema": 6, "throughput_rps": 205.0,
+                       "latency_s": {"p50": 0.008}}})
+        default, waves = cross_protocol_tables(store.rows(kind="trial"))
+        assert default["protocols"]["leopard"]["count"] == 2
+        assert default["label"] == "sim n=300 rate=2000 payload=128B"
+        assert waves["protocols"]["leopard"]["count"] == 1
+        assert waves["label"].endswith("queue=calendar waves")
 
 
 class TestScalingCurves:

@@ -31,8 +31,7 @@ def trial_doc(trial_id: str = "t1", host: str = "hostA/x",
                   "protocol": "leopard", "backend": "sim", "n": 4,
                   "rate": 2000.0, "payload": 128, "duration": 0.5,
                   "warmup": 0.1, "bundle_size": 10, "datablock_size": 10,
-                  "scenario": None, "queue_backend": None, "waves": False,
-                  "repeat": 0, "seed": 7},
+                  "scenario": None, "repeat": 0, "seed": 7},
         "host": host,
         "recorded_at": recorded_at,
         "elapsed_s": 0.1,

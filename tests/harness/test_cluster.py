@@ -12,7 +12,7 @@ from repro.harness import (
     build_pbft_cluster,
     throttle_all_replicas,
 )
-from repro.sim.faults import Crash
+from repro.faults import Crash
 
 
 class TestLeopardBuilder:
@@ -134,7 +134,7 @@ class TestSimChaos:
 
     def test_partition_wraps_and_heal_unwraps_faults(self):
         from repro.net.chaos import ChaosEvent
-        from repro.sim.faults import HONEST
+        from repro.faults import HONEST
 
         cluster = self._cluster()
         cluster.apply_chaos_event(ChaosEvent(
@@ -148,7 +148,7 @@ class TestSimChaos:
 
     def test_partition_combines_with_injected_fault(self):
         from repro.net.chaos import ChaosEvent
-        from repro.sim.faults import Mute
+        from repro.faults import Mute
 
         cluster = self._cluster(faults={3: Mute(frozenset({"vote"}))})
         cluster.apply_chaos_event(ChaosEvent(
@@ -177,7 +177,7 @@ class TestSimChaos:
 
     def test_delay_send_sim_run_commits(self):
         """Satellite (a): the slow-replica fault on the simulator."""
-        from repro.sim.faults import DelaySend
+        from repro.faults import DelaySend
 
         cluster = self._cluster(faults={3: DelaySend(delay=0.02)})
         cluster.run(2.0)
@@ -187,7 +187,7 @@ class TestSimChaos:
 
     def test_slow_replica_scenario_swaps_fault_in_and_out(self):
         from repro.net.chaos import load_scenario, schedule_scenario_sim
-        from repro.sim.faults import DelaySend, HONEST
+        from repro.faults import DelaySend, HONEST
 
         cluster = self._cluster()
         resolved = schedule_scenario_sim(

@@ -6,7 +6,7 @@ from __future__ import annotations
 from repro.core.client import assign_replica
 from repro.core.config import LeopardConfig
 from repro.harness import build_leopard_cluster
-from repro.sim.faults import DropIncoming
+from repro.faults import DropIncoming
 
 
 class TestAssignment:

@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.config import LeopardConfig
 from repro.harness import build_leopard_cluster
-from repro.sim.faults import SelectiveDisseminator
+from repro.faults import SelectiveDisseminator
 
 
 def run_mode(mode: str, n: int = 7, seed: int = 31):

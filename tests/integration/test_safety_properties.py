@@ -15,7 +15,7 @@ from repro.core.config import LeopardConfig
 from repro.core.replica import LeopardReplica
 from repro.harness import build_leopard_cluster
 from repro.messages.leopard import BFTblock, Vote
-from repro.sim.faults import (
+from repro.faults import (
     Combined,
     Crash,
     DropIncoming,

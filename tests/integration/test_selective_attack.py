@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from repro.core.config import LeopardConfig
 from repro.harness import build_leopard_cluster
-from repro.sim.faults import SelectiveDisseminator
+from repro.faults import SelectiveDisseminator
 
 
 def attack_cluster(n=4, seed=5, victim=2):

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from repro.core.config import LeopardConfig
 from repro.harness import build_leopard_cluster
-from repro.sim.faults import Crash, Mute
+from repro.faults import Crash, Mute
 
 
 def vc_config(n=4, progress_timeout=0.4):

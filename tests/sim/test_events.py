@@ -7,11 +7,17 @@ import pytest
 from repro.errors import SimulationError
 from repro.sim.events import LATE_TOLERANCE, EventQueue
 
-#: Both scheduler backends satisfy the same contract; every test in this
-#: module runs against each via this fixture.
-@pytest.fixture(params=["heap", "calendar"])
+from tests.sim.heap_oracle import HeapQueue
+
+#: The engine and the heap oracle the differential tests trust it
+#: against satisfy one scheduling contract; every test in this module
+#: runs against each via this fixture.
+QUEUES = {"heap": HeapQueue, "calendar": EventQueue}
+
+
+@pytest.fixture(params=list(QUEUES))
 def queue(request):
-    return EventQueue(backend=request.param)
+    return QUEUES[request.param]()
 
 
 class TestScheduling:
@@ -55,49 +61,6 @@ class TestScheduling:
 
 
 class TestBulkScheduling:
-    def test_schedule_many_runs_in_time_order(self, queue):
-        seen = []
-        queue.schedule_many([
-            (3.0, lambda: seen.append("c")),
-            (1.0, lambda: seen.append("a")),
-            (2.0, lambda: seen.append("b")),
-        ])
-        queue.run_until(10.0)
-        assert seen == ["a", "b", "c"]
-
-    def test_schedule_many_fifo_for_equal_timestamps(self, queue):
-        seen = []
-        queue.schedule_many(
-            (1.0, lambda t=tag: seen.append(t)) for tag in range(20))
-        queue.run_until(1.0)
-        assert seen == list(range(20))
-
-    def test_schedule_many_interleaves_with_schedule(self, queue):
-        seen = []
-        queue.schedule(1.0, lambda: seen.append("x"))
-        queue.schedule_many([(1.0, lambda: seen.append("y"))])
-        queue.schedule(1.0, lambda: seen.append("z"))
-        queue.run_until(1.0)
-        assert seen == ["x", "y", "z"]
-
-    def test_schedule_many_rejects_past(self, queue):
-        queue.schedule(1.0, lambda: None)
-        queue.run_until(2.0)
-        with pytest.raises(SimulationError):
-            queue.schedule_many([(3.0, lambda: None), (1.0, lambda: None)])
-
-    def test_schedule_many_bulk_heapify_path(self, queue):
-        # A batch large relative to the heap takes the extend+heapify
-        # branch; ordering must be identical to per-event pushes.
-        seen = []
-        queue.schedule(5.0, lambda: seen.append("late"))
-        queue.schedule_many(
-            (float(100 - i) / 100.0, lambda t=i: seen.append(t))
-            for i in range(32))
-        queue.run_until(10.0)
-        assert seen[:-1] == list(reversed(range(32)))
-        assert seen[-1] == "late"
-
     def test_schedule_call_passes_payload(self, queue):
         seen = []
         queue.schedule_call(1.0, seen.append, "payload")
@@ -167,24 +130,12 @@ class TestLateClamp:
         assert seen == [0, 1, 2, 3, 4]
         assert queue.now == now + 1.5
 
-    def test_schedule_many_clamps_within_tolerance(self, queue):
-        now = self._advance(queue)
-        seen = []
-        queue.schedule_many([
-            (now - 1e-10, lambda: seen.append("late")),
-            (now + 0.1, lambda: seen.append("future")),
-        ])
-        assert queue.late_clamped == 1
-        queue.run_until_idle()
-        assert seen == ["late", "future"]
-
     def test_beyond_tolerance_still_raises(self, queue):
         now = self._advance(queue)
         for call in (
                 lambda: queue.schedule(now - 1e-6, lambda: None),
                 lambda: queue.schedule_call(now - 1e-6, print, None),
                 lambda: queue.push(now - 1e-6, print, None),
-                lambda: queue.schedule_many([(now - 1e-6, lambda: None)]),
                 lambda: queue.schedule_fanout(
                     [now - 1e-6] + [now + i for i in range(4)],
                     print, list(range(5))),

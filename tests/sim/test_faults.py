@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import pytest
 
 from repro.interfaces import Broadcast, Delayed, Send, SetTimer
-from repro.sim.faults import (
+from repro.faults import (
     Combined,
     Crash,
     DelaySend,

@@ -7,13 +7,12 @@ import math
 import pytest
 
 from repro.sim.metrics import (
-    LatencySample,
-    MetricsCollector,
     bandwidth_report,
     node_bandwidth_bps,
     utilization_breakdown,
 )
 from repro.sim.network import Network
+from repro.stats import LatencySample, MetricsCollector
 
 
 class TestThroughput:
@@ -82,14 +81,10 @@ class TestPhases:
 
 class TestBandwidthReports:
     def _loaded_network(self):
-        from tests.sim.test_network import FakeMsg
+        from tests.sim.test_network import FakeMsg, unicast
         network = Network(2, bandwidth_bps=1e9, jitter=0.0, seed=0)
-        msg = FakeMsg(1000, "datablock")
-        arrival = network.send_phase(0, msg, 0.0)
-        network.receive_phase(1, msg, arrival)
-        small = FakeMsg(10, "vote")
-        arrival = network.send_phase(0, small, 0.0)
-        network.receive_phase(1, small, arrival)
+        unicast(network, 0, 1, FakeMsg(1000, "datablock"))
+        unicast(network, 0, 1, FakeMsg(10, "vote"))
         return network
 
     def test_bandwidth_report(self):
@@ -119,7 +114,6 @@ class TestPerfWiring:
     """MetricsCollector carries data-plane perf counters (ROADMAP item)."""
 
     def test_collector_has_perf_counters(self):
-        from repro.sim.metrics import MetricsCollector
         collector = MetricsCollector()
         collector.perf.incr("coding/encoded_datablocks")
         with collector.perf.timed("coding/encode"):

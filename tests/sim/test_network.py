@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import pytest
 
 from repro.errors import ConfigError
+from repro.sim.events import EventQueue
 from repro.sim.network import Network, Nic
 
 
@@ -24,6 +25,31 @@ def make_network(**kwargs) -> Network:
                     jitter=0.0, seed=1)
     defaults.update(kwargs)
     return Network(**defaults)
+
+
+class RecordingRouter:
+    """Router stand-in: ``(arrival, dest, delivered)`` per copy."""
+
+    def __init__(self, queue: EventQueue) -> None:
+        self.queue = queue
+        self.copies: list[tuple[float, int, float]] = []
+
+    def deliver_at(self, src, dest, msg, delivered):
+        self.copies.append((self.queue.now, dest, delivered))
+
+
+def unicast(network: Network, src: int, dest: int, msg: FakeMsg
+            ) -> tuple[float, float]:
+    """One copy through the full pipeline, sent at t=0.
+
+    Returns ``(wire-arrival time, delivery-complete time)``.
+    """
+    queue = EventQueue()
+    router = RecordingRouter(queue)
+    network.send_unicast(src, dest, msg, 0.0, queue, router)
+    queue.run_until_idle()
+    (arrival, _, delivered), = router.copies
+    return arrival, delivered
 
 
 class TestNic:
@@ -68,24 +94,20 @@ class TestNic:
 class TestTransmission:
     def test_two_phase_delivery_time(self):
         network = make_network()
-        msg = FakeMsg(500_000)
-        arrival = network.send_phase(0, msg, 0.0)
+        arrival, delivered = unicast(network, 0, 1, FakeMsg(500_000))
         assert arrival == pytest.approx(1.01)  # 1 s serialize + 10 ms prop
-        delivered = network.receive_phase(1, msg, arrival)
         assert delivered == pytest.approx(2.01)
 
     def test_sender_serializes_multicast_copies(self):
         # The Eq. (1) effect: copies queue behind each other at the sender.
         network = make_network()
         msg = FakeMsg(500_000)
-        arrivals = [network.send_phase(0, msg, 0.0) for _ in range(3)]
+        arrivals = [unicast(network, 0, dest, msg)[0] for dest in (1, 2, 3)]
         assert arrivals == pytest.approx([1.01, 2.01, 3.01])
 
     def test_accounting(self):
         network = make_network()
-        msg = FakeMsg(1000, "datablock")
-        arrival = network.send_phase(0, msg, 0.0)
-        network.receive_phase(2, msg, arrival)
+        unicast(network, 0, 2, FakeMsg(1000, "datablock"))
         assert network.stats(0).sent_bytes == {"datablock": 1000}
         assert network.stats(0).sent_msgs == {"datablock": 1}
         assert network.stats(2).recv_bytes == {"datablock": 1000}
@@ -94,8 +116,7 @@ class TestTransmission:
     def test_throttling(self):
         network = make_network()
         network.set_bandwidth(0, 2e6)  # 1 Mbps per direction
-        msg = FakeMsg(125_000)  # 1 Mbit
-        arrival = network.send_phase(0, msg, 0.0)
+        arrival, _ = unicast(network, 0, 1, FakeMsg(125_000))  # 1 Mbit
         assert arrival == pytest.approx(1.01)
 
     def test_set_all_bandwidth(self):
@@ -125,8 +146,8 @@ class TestPartialSynchrony:
         # sender's local queue).
         network = make_network(gst=1.5, pre_gst_extra_delay=100.0)
         msg = FakeMsg(500_000)  # 1 s of serialization per copy
-        first = network.send_phase(0, msg, 0.0)   # departs at 1.0 < GST
-        second = network.send_phase(0, msg, 0.0)  # departs at 2.0 > GST
+        first, _ = unicast(network, 0, 1, msg)   # departs at 1.0 < GST
+        second, _ = unicast(network, 0, 2, msg)  # departs at 2.0 > GST
         assert first >= 1.0 + 0.01  # may include the adversarial extra
         # The queued copy departs at t=2.0 > GST: base delay only.
         assert second == pytest.approx(2.0 + 0.01)
@@ -134,23 +155,14 @@ class TestPartialSynchrony:
     def test_broadcast_pre_gst_delay_per_departure(self):
         # Batched fast path: within one multicast, copies departing
         # before GST get the extra delay, copies departing after do not.
-        from repro.sim.events import EventQueue
-
         network = make_network(gst=2.5, pre_gst_extra_delay=100.0)
         queue = EventQueue()
-
-        class _Router:
-            def __init__(self):
-                self.arrivals = []
-
-            def deliver_at(self, src, dest, msg, delivered):
-                self.arrivals.append((dest, delivered))
-
-        router = _Router()
+        router = RecordingRouter(queue)
         msg = FakeMsg(500_000)  # 1 s per copy
         network.send_broadcast(0, [1, 2, 3], msg, 0.0, queue, router)
         queue.run_until_idle()
-        arrival_by_dest = dict(router.arrivals)
+        arrival_by_dest = {dest: delivered
+                           for _, dest, delivered in router.copies}
         # Copies depart at 1.0 and 2.0 (< GST): adversarially delayed
         # far beyond base propagation.  The copy departing at 3.0 (> GST)
         # arrives after base delay + its own rx serialization only.
@@ -254,8 +266,6 @@ class TestHalfDuplexAccounting:
     def test_batched_broadcast_matches_scalar_egress_accounting(self):
         # The vectorized departure ramp must serialize copies exactly
         # like n-1 scalar occupy_tx calls (Eq. (1)).
-        from repro.sim.events import EventQueue
-
         scalar = Nic(8e6)
         msg = FakeMsg(125_000, "datablock")
         for _ in range(5):

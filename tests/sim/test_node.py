@@ -14,8 +14,8 @@ from repro.interfaces import (
     SetTimer,
     Trace,
 )
-from repro.sim.faults import Crash, DropIncoming
-from repro.sim.metrics import MetricsCollector
+from repro.faults import Crash, DropIncoming
+from repro.stats import MetricsCollector
 from repro.sim.network import Network
 from repro.sim.runner import Simulation
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.metrics import MetricsCollector
+from repro.stats import MetricsCollector
 from repro.sim.network import Network
 from repro.sim.runner import Simulation
 
