@@ -11,9 +11,11 @@ for — without requiring root or kernel qdiscs:
   probabilistic frame loss;
 * a :class:`LinkShaper` holds the mutable policy table keyed
   ``(src, dst)`` plus the current partition, and is consulted by every
-  :class:`repro.net.transport.PeerConnection` drain loop **per frame** —
-  policies are hot-swappable at runtime, which is what lets chaos
-  scenarios degrade and heal links mid-run.
+  :class:`repro.net.transport.PeerConnection` drain loop **per frame**
+  (unimpaired frames then share one socket write; a delayed frame is
+  written alone once its delay has passed) — policies are hot-swappable
+  at runtime, which is what lets chaos scenarios degrade and heal links
+  mid-run.
 
 Semantics versus the simulator's NIC model (documented in README):
 shaping here is per *directed link* and applied at the sender's drain

@@ -7,16 +7,22 @@ handler; one :class:`PeerConnection` per (node, peer) pair owns the
 outbound direction with a bounded write queue and automatic reconnect —
 the connection fan-in/fan-out shape of a real BFT deployment, where every
 replica dials every peer it sends to and a leader terminates n-1 inbound
-vote streams.
+vote streams.  Both directions are asyncio protocols, not streams: each
+socket read is one dispatch pass over every complete frame it holds, and
+each drain of a peer's queue hands its unshaped frames over in one write.
 
-Backpressure is two-layered: ``await writer.drain()`` propagates the
-kernel socket buffer's pushback into the per-peer writer task, and the
-write queue is bounded in *bytes* — when a peer is slow or dead the queue
-fills and further frames are dropped (and counted) instead of growing
-without bound.  BFT protocols tolerate message loss by design (timers and
-view-changes re-drive progress), so dropping at the transport edge is the
-correct overload behaviour, mirroring what the simulator's NIC backlog
-model charges as queueing delay.
+Backpressure: an outbound frame waits in its link's byte-bounded queue
+until the drain loop writes it, then in the asyncio transport's write
+buffer until the kernel accepts it, then in the kernel socket buffer
+until the peer reads it.  The drain loop stops taking frames while the
+transport buffer is above its high-water mark, so the kernel's pushback
+reaches the queue.  ``queued_bytes`` counts the first two — every byte
+the kernel has not accepted — and the queue bound applies to that sum:
+when a peer is slow or dead further frames are dropped (and counted)
+instead of growing without bound.  BFT protocols tolerate message loss
+by design (timers and view-changes re-drive progress), so dropping at
+the transport edge is the correct overload behaviour, mirroring what the
+simulator's NIC backlog model charges as queueing delay.
 
 Byte accounting records into :class:`repro.stats.NicStats` — the shared
 per-message-class counters the simulator also keeps for its modelled
@@ -28,6 +34,7 @@ from __future__ import annotations
 
 import asyncio
 import random
+import struct
 import time
 from collections import deque
 from typing import Callable
@@ -46,26 +53,88 @@ MAX_BACKOFF = 1.0
 #: Assumed localhost link rate for backlog-seconds estimation (bits/s).
 DEFAULT_LINK_BPS = 1e9
 
+#: Most bytes of frames joined into one write.  One write per drain saves
+#: more (a syscall each) than the join copies; the cap bounds that copy
+#: when a backlog drains, and a frame that would overflow it starts the
+#: next write.
+WRITE_BATCH_BYTES = 1024 * 1024
+
+_PREFIX = struct.Struct("!I")  # the codec's LENGTH_PREFIX
+
 MessageHandler = Callable[[int, object], None]
 
 
-async def read_frame(reader: asyncio.StreamReader) -> bytes | None:
-    """Read one length-prefixed frame payload; ``None`` on clean EOF.
+class _InboundConnection(asyncio.Protocol):
+    """One accepted connection: slices whole frames out of each read.
 
-    Raises:
-        codec.CodecError: if the peer announces an oversized frame.
+    A trailing partial frame is kept as a list of chunks and joined once
+    its announced length has arrived, so a large frame is not re-copied
+    per read.
     """
-    try:
-        header = await reader.readexactly(codec.LENGTH_PREFIX)
-    except (asyncio.IncompleteReadError, ConnectionResetError):
-        return None
-    length = int.from_bytes(header, "big")
-    if length > codec.MAX_FRAME_BYTES:
-        raise codec.CodecError(f"frame length {length} exceeds cap")
-    try:
-        return await reader.readexactly(length)
-    except (asyncio.IncompleteReadError, ConnectionResetError):
-        return None
+
+    def __init__(self, listener: Listener) -> None:
+        self.listener = listener
+        self.transport: asyncio.Transport | None = None
+        self.closed = asyncio.get_running_loop().create_future()
+        self._parts: list = []
+        self._buffered = 0
+        self._needed = 0
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.listener._connections.add(self)
+
+    def connection_lost(self, exc) -> None:
+        self.listener._connections.discard(self)
+        self.closed.set_result(None)
+
+    def data_received(self, data: bytes) -> None:
+        if self._parts:
+            self._parts.append(data)
+            self._buffered += len(data)
+            if self._buffered < self._needed:
+                return
+            data = b"".join(self._parts)
+            self._parts.clear()
+        listener = self.listener
+        # Looked up per read, not held: tracing swaps both at runtime.
+        decode = codec.decode_payload
+        handler = listener.handler
+        record = listener.stats.record_recv
+        view = memoryview(data)
+        end = len(data)
+        pos = 0
+        while end - pos >= codec.LENGTH_PREFIX:
+            length = _PREFIX.unpack_from(data, pos)[0]
+            if length > codec.MAX_FRAME_BYTES:
+                return self._garbled()
+            start = pos + codec.LENGTH_PREFIX
+            if start + length > end:
+                break
+            try:
+                sender, msg = decode(view[start:start + length])
+            except codec.CodecError:
+                return self._garbled()
+            pos = start + length
+            record(msg.msg_class, codec.LENGTH_PREFIX + length)
+            try:
+                handler(sender, msg)
+            except Exception:
+                # A core bug must not tear down the TCP connection (that
+                # would silently drop the peer's queued frames); count it
+                # and keep serving.
+                listener.handler_errors += 1
+        if pos < end:
+            self._parts.append(view[pos:])
+            self._buffered = end - pos
+            self._needed = codec.LENGTH_PREFIX
+            if self._buffered >= codec.LENGTH_PREFIX:
+                self._needed += _PREFIX.unpack_from(data, pos)[0]
+
+    def _garbled(self) -> None:
+        """Oversized or malformed frame: drop this connection only."""
+        self.listener.decode_errors += 1
+        self.transport.close()
 
 
 class Listener:
@@ -73,7 +142,7 @@ class Listener:
 
     Args:
         handler: called as ``handler(sender, msg)`` for every decoded
-            frame, inline on the reader coroutine.
+            frame, inline in the socket's read callback.
         stats: byte counters to record received frames into.
         host: bind address.
         port: bind port; 0 picks an ephemeral port (read :attr:`port`
@@ -89,70 +158,59 @@ class Listener:
         self.decode_errors = 0
         self.handler_errors = 0
         self._server: asyncio.base_events.Server | None = None
-        self._conn_writers: set[asyncio.StreamWriter] = set()
-        self._conn_tasks: set[asyncio.Task] = set()
+        self._connections: set[_InboundConnection] = set()
 
     async def start(self) -> None:
         """Bind and start serving; resolves :attr:`port` if ephemeral."""
-        self._server = await asyncio.start_server(
-            self._serve_connection, self.host, self.port)
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _InboundConnection(self), self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
 
-    async def _serve_connection(self, reader: asyncio.StreamReader,
-                                writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        self._conn_writers.add(writer)
-        try:
-            while True:
-                payload = await read_frame(reader)
-                if payload is None:
-                    return
-                try:
-                    sender, msg = codec.decode_payload(payload)
-                except codec.CodecError:
-                    self.decode_errors += 1
-                    return  # drop the connection; peer is garbling
-                self.stats.record_recv(
-                    msg.msg_class, codec.LENGTH_PREFIX + len(payload))
-                try:
-                    self.handler(sender, msg)
-                except Exception:
-                    # A core bug must not tear down the TCP connection
-                    # (that would silently drop the peer's queued frames);
-                    # count it and keep serving.
-                    self.handler_errors += 1
-        except codec.CodecError:
-            self.decode_errors += 1
-        except asyncio.CancelledError:
-            raise
-        except OSError:
-            pass  # peer vanished mid-frame
-        finally:
-            self._conn_writers.discard(writer)
-            if task is not None:
-                self._conn_tasks.discard(task)
-            writer.close()
-
     async def close(self) -> None:
-        """Stop accepting, close every accepted connection, reap readers.
+        """Stop accepting, close every accepted connection, await each.
 
-        Closing the accepted transports makes each reader observe EOF and
-        finish *normally* — the connection tasks are awaited rather than
-        left for event-loop teardown to cancel (which would both leak the
-        sockets on long-lived loops and trip Python 3.11's noisy
-        cancelled-task done-callback in ``asyncio.streams``).
+        Returns once every accepted socket has really closed, so nothing
+        is left for event-loop teardown and a listener restarted on the
+        same port never races its predecessor's connections.
         """
         if self._server is not None:
             self._server.close()
+        while self._connections:
+            connections = list(self._connections)
+            for connection in connections:
+                connection.transport.close()
+            await asyncio.gather(*(c.closed for c in connections))
+        if self._server is not None:
             await self._server.wait_closed()
             self._server = None
-        for writer in list(self._conn_writers):
-            writer.close()
-        tasks = [task for task in self._conn_tasks if not task.done()]
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
+
+
+class _OutboundLink(asyncio.Protocol):
+    """Write side of one outbound connection: flow control and loss.
+
+    Nothing is ever received; the peer's EOF closes the transport.
+    Resuming and losing the connection both wake the owning drain loop.
+    """
+
+    def __init__(self, wakeup: asyncio.Event) -> None:
+        self.wakeup = wakeup
+        self.transport: asyncio.Transport | None = None
+        self.paused = False
+        self.lost = False
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+
+    def connection_lost(self, exc) -> None:
+        self.lost = True
+        self.wakeup.set()
+
+    def pause_writing(self) -> None:
+        self.paused = True
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        self.wakeup.set()
 
 
 class PeerConnection:
@@ -160,17 +218,19 @@ class PeerConnection:
 
     Frames enqueue without blocking (the protocol core runs inline on the
     event loop and must never stall on one slow peer); a dedicated writer
-    task drains the queue through the socket, honouring TCP backpressure
-    via ``drain()``.  While the peer is unreachable the task retries with
+    task drains the queue into the socket, waiting whenever the transport
+    pushes back.  While the peer is unreachable the task retries with
     exponential backoff (jittered, so a cluster of reconnecting peers
     does not dial a restarted listener in lock-step) and the queue keeps
     absorbing frames up to ``max_queue_bytes``, beyond which new frames
     are dropped and counted.
 
-    When a :class:`~repro.net.shaping.LinkShaper` is attached the drain
-    loop consults it per frame: partitioned links hold their queue intact
-    (frames flow again on heal), shaped links sleep out the token-bucket
-    and latency delays, and lost frames are discarded after dequeue.
+    Each drain writes the run of queued frames at the head of the queue
+    in one write.  When a :class:`~repro.net.shaping.LinkShaper` is
+    attached it is consulted per frame: partitioned links hold their
+    queue intact (frames flow again on heal), lost frames are discarded
+    after dequeue, and a frame it delays ends the run and is written
+    alone once its token-bucket and latency delay has passed.
     """
 
     def __init__(self, peer_id: int, host: str, port: int,
@@ -189,6 +249,7 @@ class PeerConnection:
         self.backoff_retries = 0
         self._queue: deque[tuple[bytes, float]] = deque()
         self._queued_bytes = 0
+        self._link: _OutboundLink | None = None
         self._wakeup = asyncio.Event()
         self._closed = False
         self._task: asyncio.Task | None = None
@@ -200,27 +261,37 @@ class PeerConnection:
 
     @property
     def queued_bytes(self) -> int:
-        """Bytes waiting in the write queue (backpressure signal)."""
-        return self._queued_bytes
+        """Bytes the kernel has not accepted yet (backpressure signal).
+
+        The write queue plus the connected transport's write buffer.
+        """
+        if self._link is None:
+            return self._queued_bytes
+        return (self._queued_bytes
+                + self._link.transport.get_write_buffer_size())
 
     def send(self, frame: bytes) -> bool:
         """Enqueue one frame; False if closed or the queue is full."""
         if self._closed:
             return False
-        if self._queued_bytes + len(frame) > self.max_queue_bytes:
+        if self.queued_bytes + len(frame) > self.max_queue_bytes:
             self.dropped_frames += 1
             return False
+        if not self._queue:
+            # Only an empty queue leaves the drain loop waiting on us;
+            # behind a paused transport it waits for resume_writing.
+            self._wakeup.set()
         self._queue.append((frame, time.monotonic()))
         self._queued_bytes += len(frame)
-        self._wakeup.set()
         return True
 
     async def _run(self) -> None:
+        loop = asyncio.get_running_loop()
         backoff = INITIAL_BACKOFF
         while not self._closed:
             try:
-                reader, writer = await asyncio.open_connection(
-                    self.host, self.port)
+                _, link = await loop.create_connection(
+                    lambda: _OutboundLink(self._wakeup), self.host, self.port)
             except OSError:
                 self.backoff_retries += 1
                 # Jitter de-synchronizes the reconnect herd after a
@@ -230,44 +301,58 @@ class PeerConnection:
                 continue
             self.connects += 1
             backoff = INITIAL_BACKOFF
+            self._link = link
             try:
-                await self._drain_loop(writer)
-            except (ConnectionError, OSError):
-                continue  # peer dropped us: reconnect, keep the queue
+                await self._drain_loop(link)
             finally:
-                writer.close()
+                # A lost link's unsent bytes are lost in flight; the
+                # queue is kept for the next link.
+                self._link = None
+                link.transport.close()
 
-    def _link_blocked(self) -> bool:
-        return (self.shaper is not None and self.src_id is not None
-                and self.shaper.blocked(self.src_id, self.peer_id))
-
-    async def _drain_loop(self, writer: asyncio.StreamWriter) -> None:
-        while not self._closed:
-            while self._queue:
-                if self._link_blocked():
-                    # Partitioned: hold the queue intact and poll so a
-                    # heal resumes delivery within one poll interval.
-                    await asyncio.sleep(PARTITION_POLL)
-                    continue
-                frame, enqueued_at = self._queue.popleft()
+    async def _drain_loop(self, link: _OutboundLink) -> None:
+        queue = self._queue
+        transport = link.transport
+        shaper = self.shaper if self.src_id is not None else None
+        while not (self._closed or link.lost):
+            if link.paused or not queue:
+                self._wakeup.clear()
+                await self._wakeup.wait()
+                continue
+            if shaper is not None and shaper.blocked(self.src_id,
+                                                     self.peer_id):
+                # Partitioned: hold the queue intact and poll so a heal
+                # resumes delivery within one poll interval.
+                await asyncio.sleep(PARTITION_POLL)
+                continue
+            batch: list[bytes] = []
+            size = 0
+            delay: float | None = 0.0
+            while queue:
+                frame, enqueued_at = queue[0]
+                if batch and size + len(frame) > WRITE_BATCH_BYTES:
+                    break
+                queue.popleft()
                 self._queued_bytes -= len(frame)
-                if self.shaper is not None and self.src_id is not None:
-                    delay = self.shaper.frame_delay(
+                if shaper is not None:
+                    delay = shaper.frame_delay(
                         self.src_id, self.peer_id, len(frame),
                         enqueued_at, time.monotonic())
                     if delay is None:
                         continue  # shaped loss: frame vanishes in transit
                     if delay > 0:
-                        await asyncio.sleep(delay)
-                    if self._closed:
-                        return
-                writer.write(frame)
+                        break  # written alone once its delay has passed
+                batch.append(frame)
+                size += len(frame)
+            if batch:
+                transport.writelines(batch)
+                self.sent_frames += len(batch)
+            if delay:
+                await asyncio.sleep(delay)
+                if self._closed:
+                    return
+                transport.write(frame)
                 self.sent_frames += 1
-                await writer.drain()  # kernel-buffer backpressure
-            self._wakeup.clear()
-            if self._queue:
-                continue  # raced with a send between drain and clear
-            await self._wakeup.wait()
 
     async def close(self) -> None:
         """Stop the writer task and drop any queued frames."""
@@ -383,11 +468,12 @@ class Router:
         return self.queued_bytes() * 8.0 / self.link_bps
 
     def queued_bytes(self) -> int:
-        """Bytes waiting across all outbound peer queues.
+        """Bytes the kernel has not accepted, across all outbound links.
 
         The live analogue of the simulator's event-queue depth for the
-        telemetry sampler: it is the only backlog that builds up when a
-        peer stalls, so the timeseries ``queue_depth`` column tracks it.
+        telemetry sampler: it is the user-space backlog that builds up
+        when a peer stalls, so the timeseries ``queue_depth`` column
+        tracks it.
         """
         return sum(peer.queued_bytes for peer in self._peers.values())
 

@@ -3,11 +3,21 @@
 from __future__ import annotations
 
 import asyncio
+import fcntl
+import socket
+import struct
+import termios
 
+from hypothesis import given, settings, strategies as st
+
+from repro.messages.client import RequestBundle
 from repro.messages.leopard import Ready
+from repro.net import transport as transport_mod
+from repro.net.shaping import LinkPolicy, LinkShaper
 from repro.net.transport import Listener, PeerConnection, Router
 from repro.sim.network import NicStats
 from repro.wire import codec
+from tests.wire.test_codec_roundtrip import CORPUS
 
 DIGEST = bytes(range(32))
 DIGEST2 = bytes(range(32, 64))
@@ -15,6 +25,33 @@ DIGEST2 = bytes(range(32, 64))
 
 def run(coro):
     return asyncio.run(coro)
+
+
+async def until(predicate, timeout: float = 3.0) -> None:
+    """Poll ``predicate`` every 10 ms; fail after ``timeout`` seconds."""
+    deadline = asyncio.get_running_loop().time() + timeout
+    while not predicate():
+        assert asyncio.get_running_loop().time() < deadline, "timed out"
+        await asyncio.sleep(0.01)
+
+
+class _Transport:
+    """Stands in for an accepted socket's transport; records close()."""
+
+    def __init__(self) -> None:
+        self.closing = False
+
+    def close(self) -> None:
+        self.closing = True
+
+
+def receiver(listener: Listener):
+    """A receive-side connection of ``listener`` whose socket reads are
+    fed by hand (``data_received``), so piece boundaries are exact.
+    Needs a running event loop."""
+    connection = transport_mod._InboundConnection(listener)
+    connection.connection_made(_Transport())
+    return connection
 
 
 class TestListenerFraming:
@@ -462,3 +499,253 @@ class TestShapedLinks:
         assert sent == 0
         assert lost == 3
         assert queued == 0  # lost frames do not rot in the queue
+
+
+class TestReceiver:
+    """One dispatch pass per socket read, whatever the read boundaries."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_frames_cut_at_any_boundaries_decode_in_order(self, data):
+        msgs = data.draw(st.lists(st.sampled_from(CORPUS), min_size=1,
+                                  max_size=6))
+        frames = [codec.encode(i, msg) for i, msg in enumerate(msgs)]
+        stream = b"".join(frames)
+        cuts = data.draw(st.one_of(
+            st.just(range(1, len(stream))),        # 1-byte pieces
+            st.just(()),                           # one piece holds all
+            st.sets(st.integers(1, len(stream) - 1), max_size=20)))
+        bounds = [0, *sorted(cuts), len(stream)]
+        pieces = [stream[a:b] for a, b in zip(bounds, bounds[1:])]
+
+        async def scenario():
+            received = []
+            stats = NicStats()
+            connection = receiver(Listener(
+                lambda sender, msg: received.append((sender, msg)), stats))
+            for piece in pieces:
+                connection.data_received(piece)
+            return received, stats, connection
+
+        received, stats, connection = run(scenario())
+        assert received == list(enumerate(msgs))
+        expected = NicStats()
+        for msg, frame in zip(msgs, frames):
+            expected.record_recv(msg.msg_class, len(frame))
+        assert stats.recv_bytes == expected.recv_bytes
+        assert stats.recv_msgs == expected.recv_msgs
+        assert not connection._parts  # nothing left over
+
+    def test_garbled_frame_mid_piece_drops_only_its_connection(self):
+        garbage = (6).to_bytes(4, "big") + bytes([255]) + bytes(5)
+
+        async def scenario():
+            received = []
+            listener = Listener(
+                lambda sender, msg: received.append(msg), NicStats())
+            garbler, clean = receiver(listener), receiver(listener)
+            garbler.data_received(
+                codec.encode(1, Ready(DIGEST)) + codec.encode(1, Ready(DIGEST2))
+                + garbage + codec.encode(1, Ready(bytes(32))))
+            clean.data_received(codec.encode(2, Ready(DIGEST2)))
+            return received, listener, garbler, clean
+
+        received, listener, garbler, clean = run(scenario())
+        assert received == [Ready(DIGEST), Ready(DIGEST2), Ready(DIGEST2)]
+        assert listener.decode_errors == 1
+        assert garbler.transport.closing
+        assert not clean.transport.closing
+
+    def test_oversize_length_prefix_closes_connection(self):
+        async def scenario():
+            received = []
+            listener = Listener(
+                lambda sender, msg: received.append(msg), NicStats())
+            connection = receiver(listener)
+            connection.data_received(
+                codec.encode(1, Ready(DIGEST))
+                + (codec.MAX_FRAME_BYTES + 1).to_bytes(4, "big"))
+            return received, listener.decode_errors, connection
+
+        received, errors, connection = run(scenario())
+        assert received == [Ready(DIGEST)]
+        assert errors == 1
+        assert connection.transport.closing
+
+
+class TestCoalescedSends:
+    def test_frames_queued_in_one_tick_arrive_in_order(self, monkeypatch):
+        """One drain writes the whole run; sent_frames still counts frames."""
+        writes = []
+        made = transport_mod._OutboundLink.connection_made
+
+        def counting(self, transport):
+            write = transport.write
+            transport.write = lambda data: (writes.append(len(data)),
+                                            write(data))
+            made(self, transport)
+
+        monkeypatch.setattr(transport_mod._OutboundLink, "connection_made",
+                            counting)
+        digests = [bytes([i]) * 32 for i in range(50)]
+
+        async def scenario():
+            received = []
+            listener = Listener(
+                lambda sender, msg: received.append(msg.block_digest),
+                NicStats())
+            await listener.start()
+            peer = PeerConnection(1, "127.0.0.1", listener.port)
+            peer.start()
+            for digest in digests:
+                assert peer.send(codec.encode(0, Ready(digest)))
+            await until(lambda: len(received) == len(digests))
+            sent = peer.sent_frames
+            await peer.close()
+            await listener.close()
+            return received, sent
+
+        received, sent = run(scenario())
+        assert received == digests
+        assert sent == len(digests)
+        assert len(writes) < len(digests)
+        assert sum(writes) == len(digests) * Ready(DIGEST).size_bytes()
+
+    def test_latency_shaped_link_delays_while_sibling_flows(self):
+        """Each frame on the shaped link waits out its own latency, from
+        its own enqueue; the unshaped link from the same router does not
+        wait for it."""
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            book: dict[int, tuple[str, int]] = {}
+            arrivals = {1: [], 2: []}
+            shaper = LinkShaper()
+            shaper.set_policy(0, 1, LinkPolicy(latency=0.3))
+            sender = Router(0, book, shaper=shaper)
+            await sender.start(lambda *a: None)
+            routers = [sender]
+            for dest in (1, 2):
+                router = Router(dest, book)
+                await router.start(
+                    lambda s, m, d=dest: arrivals[d].append(
+                        (m.block_digest[0], loop.time())))
+                routers.append(router)
+            sent_at = []
+            for i in range(3):
+                sent_at.append(loop.time())
+                sender.send(1, Ready(bytes([i]) * 32))
+                sender.send(2, Ready(bytes([i]) * 32))
+                await asyncio.sleep(0.1)
+            await until(lambda: len(arrivals[1]) == 3)
+            for router in routers:
+                await router.close()
+            return sent_at, arrivals, shaper
+
+        sent_at, arrivals, shaper = run(scenario())
+        assert [i for i, _ in arrivals[1]] == [0, 1, 2]
+        assert [i for i, _ in arrivals[2]] == [0, 1, 2]
+        assert all(at - sent_at[i] >= 0.3 for i, at in arrivals[1])
+        assert all(at - sent_at[i] < 0.3 for i, at in arrivals[2])
+        assert shaper.frames_shaped == 3  # consulted per frame, link 1 only
+
+
+class TestQueueBound:
+    def test_never_reading_peer_fills_bound_then_delivers_in_order(self):
+        """A peer that accepts but never reads: the bound and the backlog
+        probe count every byte the kernel has not taken, wherever it
+        waits, and every accepted frame arrives in order once it reads."""
+        bound = 2 * 1024 * 1024
+
+        def kernel_bytes(sock, request) -> int:
+            return struct.unpack(
+                "i", fcntl.ioctl(sock.fileno(), request, bytes(4)))[0]
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            server = socket.socket()
+            server.bind(("127.0.0.1", 0))
+            server.listen()
+            server.setblocking(False)
+            router = Router(0, {1: server.getsockname()},
+                            max_queue_bytes=bound)
+            accepted, sent_bytes = [], 0
+            for bundle_id in range(1000):
+                msg = RequestBundle(0, bundle_id, 500, 128, 0.0)
+                if router.send(1, msg):
+                    accepted.append(bundle_id)
+                    sent_bytes += msg.size_bytes()
+                elif router.dropped_frames() == 2:
+                    break  # the bound held twice: the peer is stuck
+                if bundle_id == 0:
+                    connection, _ = await loop.sock_accept(server)
+                await asyncio.sleep(0.002)  # let the writer fill the kernel
+            queued, backlog = router.queued_bytes(), router.backlog_seconds()
+            dropped = router.dropped_frames()
+            link = router._peers[1]._link.transport.get_extra_info("socket")
+            in_kernel = (kernel_bytes(link, termios.TIOCOUTQ)
+                         + kernel_bytes(connection, termios.FIONREAD))
+
+            stream = bytearray()
+            while len(stream) < sent_bytes:
+                chunk = await asyncio.wait_for(
+                    loop.sock_recv(connection, 1 << 20), 5.0)
+                assert chunk, "connection closed early"
+                stream += chunk
+            drained = router.queued_bytes()
+            await router.close()
+            connection.close()
+            server.close()
+            return (accepted, sent_bytes, queued, backlog, dropped,
+                    in_kernel, drained, stream, router.link_bps)
+
+        (accepted, sent_bytes, queued, backlog, dropped, in_kernel, drained,
+         stream, link_bps) = run(scenario())
+        frame = RequestBundle(0, 0, 500, 128, 0.0).size_bytes()
+        assert in_kernel > 0
+        assert queued + in_kernel == sent_bytes  # nothing unaccounted
+        assert queued > bound - frame
+        assert backlog == queued * 8.0 / link_bps
+        assert dropped == 2
+        assert drained == 0
+        ids, pos = [], 0
+        while pos < len(stream):
+            end = pos + codec.LENGTH_PREFIX + int.from_bytes(
+                stream[pos:pos + codec.LENGTH_PREFIX], "big")
+            ids.append(codec.decode(bytes(stream[pos:end]))[1].bundle_id)
+            pos = end
+        assert ids == accepted
+
+
+class TestTracingHooks:
+    def test_hooks_swapped_after_connect_see_the_next_frame(
+            self, monkeypatch):
+        """The ledger's traced pass swaps ``listener.handler`` on the
+        instance and ``codec.encode`` / ``decode_payload`` on the module
+        once the cluster is up; the transport must not hold the originals."""
+        async def scenario():
+            book: dict[int, tuple[str, int]] = {}
+            inbox, seen = [], []
+            sender, dest = Router(0, book), Router(1, book)
+            await sender.start(lambda *a: None)
+            await dest.start(lambda s, m: inbox.append(m))
+            sender.send(1, Ready(DIGEST))
+            await until(lambda: inbox)  # the connection is up
+
+            encode, decode = codec.encode, codec.decode_payload
+            handler = dest.listener.handler
+            monkeypatch.setattr(codec, "encode", lambda s, m: (
+                seen.append("encode"), encode(s, m))[1])
+            monkeypatch.setattr(codec, "decode_payload", lambda p: (
+                seen.append("decode"), decode(p))[1])
+            dest.listener.handler = lambda s, m: (
+                seen.append("handler"), handler(s, m))
+            sender.send(1, Ready(DIGEST2))
+            await until(lambda: len(inbox) == 2)
+            monkeypatch.undo()
+            await sender.close()
+            await dest.close()
+            return inbox, seen
+
+        inbox, seen = run(scenario())
+        assert inbox == [Ready(DIGEST), Ready(DIGEST2)]
+        assert seen == ["encode", "decode", "handler"]
