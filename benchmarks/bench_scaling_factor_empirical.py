@@ -9,7 +9,7 @@ SF_HotStuff ≈ n-1 at the leader and growing.
 
 from __future__ import annotations
 
-from repro.harness import build_hotstuff_cluster, build_leopard_cluster
+from repro.harness import build_cluster, build_leopard_cluster
 from repro.harness.experiments import _leopard_config
 from repro.harness.tables import ExperimentResult
 
@@ -43,7 +43,7 @@ def empirical_scaling_factor(duration: float = 3.0) -> ExperimentResult:
             heaviest / confirmed_bits if confirmed_bits else float("nan"),
             sf.leopard_scaling_factor(params)))
     for n in (16, 32):
-        cluster = build_hotstuff_cluster(n=n, seed=41)
+        cluster = build_cluster("hotstuff", n, seed=41)
         cluster.run(cluster.warmup + duration)
         confirmed_bits = (
             cluster.metrics.executed_requests.get(

@@ -40,7 +40,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.harness.cluster import build_hotstuff_cluster, build_leopard_cluster
+from repro.harness.cluster import build_cluster, build_leopard_cluster
 from repro.harness.experiments import _leopard_config
 from repro.messages.client import RequestBundle
 from repro.perf import (
@@ -84,7 +84,7 @@ def _build(protocol: str, n: int):
         return build_leopard_cluster(
             n=n, seed=6, config=_leopard_config(n), warmup=0.0)
     if protocol == "hotstuff":
-        return build_hotstuff_cluster(n=n, seed=6, warmup=0.0)
+        return build_cluster("hotstuff", n, seed=6, warmup=0.0)
     raise ValueError(f"unknown scenario protocol {protocol!r}")
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro.analysis import scaling_factor as sf
 from repro.core.config import LeopardConfig, table2_parameters
-from repro.harness import build_hotstuff_cluster, build_leopard_cluster
+from repro.harness import build_cluster, build_leopard_cluster
 from repro.harness.experiments import hotstuff_model_rps, leopard_model_rps
 
 
@@ -31,7 +31,7 @@ def run_leopard(n: int) -> float:
 
 
 def run_hotstuff(n: int) -> float:
-    cluster = build_hotstuff_cluster(n=n, seed=1)
+    cluster = build_cluster("hotstuff", n, seed=1)
     cluster.run(cluster.warmup + 3.0)
     return cluster.throughput()
 

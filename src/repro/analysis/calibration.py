@@ -237,57 +237,22 @@ def compare_live_sim(protocol: str = "leopard", n: int = 4,
     """
     # Imported lazily: this module sits below the cluster builders and
     # the live runtime, either of which would otherwise import-cycle.
-    from repro.harness.cluster import (
-        build_hotstuff_cluster,
-        build_leopard_cluster,
-        build_pbft_cluster,
-    )
+    from repro.harness.cluster import run_sim
     from repro.net.live import run_live_sync
-    from repro.net.protocols import default_live_config_for
+    from repro.protocols import get_protocol
 
-    config = default_live_config_for(protocol, n,
-                                     payload_size=payload_size,
-                                     datablock_size=datablock_size)
-    if protocol == "leopard":
-        # Mirror build_leopard_cluster's client topology (one client per
-        # non-leader replica) so the live run offers load the same way.
-        # No mempool priming: the live runtime has no equivalent burst,
-        # and an extra t=0 burst on the sim side only would bias the
-        # throughput ratio (and with it suggested_cost_scale).
-        client_count = max(1, n - 1)
-        sim_cluster = build_leopard_cluster(
-            n, seed=seed, config=config, costs=costs,
-            total_rate=total_rate, clients_per_replica=1,
-            bundle_size=bundle_size, warmup=warmup, prime=False)
-    elif protocol == "pbft":
-        client_count = 1
-        sim_cluster = build_pbft_cluster(
-            n, seed=seed, config=config, costs=costs,
-            total_rate=total_rate, client_count=client_count,
-            bundle_size=bundle_size, warmup=warmup)
-    elif protocol == "hotstuff":
-        client_count = 1
-        sim_cluster = build_hotstuff_cluster(
-            n, seed=seed, config=config, costs=costs,
-            total_rate=total_rate, client_count=client_count,
-            bundle_size=bundle_size, warmup=warmup)
-    else:
-        raise ValueError(f"unknown protocol {protocol!r}")
-    run_seconds = warmup + duration
-    if scenario is not None:
-        from repro.net.chaos import schedule_scenario_sim
-
-        run_seconds = max(run_seconds, scenario.duration() + 0.5)
-        sim_cluster.scenario_name = scenario.name
-        schedule_scenario_sim(sim_cluster, scenario)
-    sim_cluster.run(run_seconds)
-    sim_report = sim_cluster.report()
-
-    live_report = run_live_sync(
-        n=n, client_count=client_count, duration=run_seconds,
-        protocol=protocol, config=config, total_rate=total_rate,
-        bundle_size=bundle_size, seed=seed, warmup=warmup,
-        scenario=scenario)
+    spec = get_protocol(protocol)
+    # The live topology on both backends, so both offer load the same
+    # way.  No mempool priming on the sim side: the live runtime has no
+    # equivalent burst, and a t=0 burst on one side only would bias the
+    # throughput ratio (and with it suggested_cost_scale).
+    point = dict(protocol=protocol, n=n, duration=warmup + duration,
+                 config=spec.live_config(n, payload_size, datablock_size),
+                 client_count=spec.live_clients(n), total_rate=total_rate,
+                 bundle_size=bundle_size, seed=seed, warmup=warmup,
+                 scenario=scenario)
+    sim_report = run_sim(costs=costs, prime=False, **point)
+    live_report = run_live_sync(**point)
 
     deltas = {
         "throughput_rps": _delta(live_report["throughput_rps"],

@@ -23,27 +23,26 @@ from typing import Hashable
 
 from repro.baselines.hotstuff.config import HotStuffConfig
 from repro.core.mempool import Mempool
-from repro.core.recovery import ExecutionLog, RecoveryManager
+from repro.core.recovery import (
+    RECOVERY_MESSAGES,
+    ExecutionLog,
+    RecoveryHost,
+)
 from repro.crypto.hashing import digest as sha_digest
 from repro.interfaces import Broadcast, Effect, Executed, Send, SetTimer
 from repro.messages.client import Ack, RequestBundle
 from repro.messages.hotstuff import HSBlock, HSNewView, HSVote, QuorumCert
-from repro.messages.recovery import (
-    LedgerSegment,
-    StateRequest,
-    StateSnapshot,
-)
+from repro.messages.recovery import StateSnapshot
 
 GENESIS_DIGEST = sha_digest(b"hotstuff-genesis")
 
 
-class HotStuffReplica:
+class HotStuffReplica(RecoveryHost):
     """One chained-HotStuff replica (leader or follower by view)."""
 
     def __init__(self, replica_id: int, config: HotStuffConfig) -> None:
         self.node_id = replica_id
         self.config = config
-        self.payload_size = config.payload_size
         self.view = 1
         self.mempool = Mempool()
         #: height -> block
@@ -63,14 +62,7 @@ class HotStuffReplica:
         #: transferred prefix installs (capped so a byzantine flood of
         #: future blocks cannot balloon memory).
         self._pending_blocks: dict[int, tuple[HSBlock, bool]] = {}
-        self.recovery = RecoveryManager(
-            replica_id, config.n, (config.n - 1) // 3,
-            local_tip=lambda: self.executed_height,
-            make_snapshot=self._make_snapshot,
-            entries_between=self.exec_log.entries_between,
-            install=self._install_recovered,
-        )
-        self._recover_on_start = False
+        self._init_recovery(self.exec_log)
 
     # ------------------------------------------------------------------
 
@@ -91,9 +83,7 @@ class HotStuffReplica:
         if self.is_leader:
             effects.append(SetTimer(
                 "propose", self.config.idle_repropose_delay))
-        if self._recover_on_start:
-            self._recover_on_start = False
-            effects.extend(self.recovery.begin(now))
+        effects.extend(self._catch_up_on_start(now))
         return effects
 
     def on_timer(self, key: Hashable, now: float) -> list[Effect]:
@@ -116,17 +106,13 @@ class HotStuffReplica:
             return self._on_vote(sender, msg, now)
         if isinstance(msg, HSNewView):
             return self._on_new_view(sender, msg, now)
-        if isinstance(msg, (StateRequest, StateSnapshot, LedgerSegment)):
+        if isinstance(msg, RECOVERY_MESSAGES):
             return self._on_recovery_msg(sender, msg, now)
         return []
 
     # ------------------------------------------------------------------
-    # Crash recovery
+    # Crash recovery: what differs from the shared RecoveryHost glue
     # ------------------------------------------------------------------
-
-    def begin_recovery(self) -> None:
-        """Arm catch-up: the next ``start()`` solicits state from peers."""
-        self._recover_on_start = True
 
     def _make_snapshot(self) -> StateSnapshot:
         return StateSnapshot(self.executed_height,
@@ -151,25 +137,6 @@ class HotStuffReplica:
                        if h <= self.executed_height]:
             del self._pending_blocks[height]
 
-    def restore_entries(self, entries) -> int:
-        """Reload a durable snapshot tail (process respawn, pre-boot)."""
-        before = self.exec_log.last_executed
-        self._install_recovered(entries)
-        return self.exec_log.last_executed - before
-
-    def _on_recovery_msg(self, sender: int, msg, now: float
-                         ) -> list[Effect]:
-        if isinstance(msg, StateRequest):
-            return self.recovery.on_request(sender, msg, now)
-        was_complete = self.recovery.complete
-        if isinstance(msg, StateSnapshot):
-            effects = self.recovery.on_snapshot(sender, msg, now)
-        else:
-            effects = self.recovery.on_segment(sender, msg, now)
-        if self.recovery.complete and not was_complete:
-            effects.extend(self._replay_pending(now))
-        return effects
-
     def _defer_block(self, block: HSBlock, vote: bool, now: float
                      ) -> list[Effect]:
         """Hold an out-of-chain block: we are behind, not it."""
@@ -179,7 +146,8 @@ class HotStuffReplica:
         self._pending_blocks[block.height] = (block, vote)
         return self.recovery.note_gap(now)
 
-    def _replay_pending(self, now: float) -> list[Effect]:
+    def _on_caught_up(self, now: float) -> list[Effect]:
+        """Replay the blocks held while we lacked their history."""
         effects: list[Effect] = []
         for height in sorted(self._pending_blocks):
             held = self._pending_blocks.pop(height, None)
@@ -188,13 +156,6 @@ class HotStuffReplica:
             block, vote = held
             effects.extend(self._accept_block(block, now, vote=vote))
         return effects
-
-    def recovery_summary(self) -> dict:
-        """Catch-up counters plus the executed tail (report section)."""
-        info = self.recovery.summary()
-        info["last_executed"] = self.executed_height
-        info["exec_tail"] = self.exec_log.tail()
-        return info
 
     # ------------------------------------------------------------------
     # Leader side

@@ -21,15 +21,15 @@ from typing import Hashable
 
 from repro.baselines.pbft.config import PbftConfig
 from repro.core.mempool import Mempool
-from repro.core.recovery import ExecutionLog, RecoveryManager
+from repro.core.recovery import (
+    RECOVERY_MESSAGES,
+    ExecutionLog,
+    RecoveryHost,
+)
 from repro.interfaces import Broadcast, Effect, Executed, Send, SetTimer
 from repro.messages.client import Ack, RequestBundle
 from repro.messages.pbft import Commit, Prepare, PrePrepare
-from repro.messages.recovery import (
-    LedgerSegment,
-    StateRequest,
-    StateSnapshot,
-)
+from repro.messages.recovery import StateSnapshot
 
 
 @dataclass
@@ -41,13 +41,12 @@ class _Instance:
     committed: bool = False
 
 
-class PbftReplica:
+class PbftReplica(RecoveryHost):
     """One PBFT replica (leader or backup)."""
 
     def __init__(self, replica_id: int, config: PbftConfig) -> None:
         self.node_id = replica_id
         self.config = config
-        self.payload_size = config.payload_size
         self.view = 1
         self.mempool = Mempool()
         self.instances: dict[int, _Instance] = {}
@@ -58,14 +57,7 @@ class PbftReplica:
         self.executed_sn = 0
         self.total_executed = 0
         self.exec_log = ExecutionLog()
-        self.recovery = RecoveryManager(
-            replica_id, config.n, (config.n - 1) // 3,
-            local_tip=lambda: self.executed_sn,
-            make_snapshot=self._make_snapshot,
-            entries_between=self.exec_log.entries_between,
-            install=self._install_recovered,
-        )
-        self._recover_on_start = False
+        self._init_recovery(self.exec_log)
 
     @property
     def is_leader(self) -> bool:
@@ -81,9 +73,7 @@ class PbftReplica:
         """Arm the leader's proposal timer (and catch-up after restart)."""
         effects: list[Effect] = [
             SetTimer("propose", self.config.proposal_interval)]
-        if self._recover_on_start:
-            self._recover_on_start = False
-            effects.extend(self.recovery.begin(now))
+        effects.extend(self._catch_up_on_start(now))
         return effects
 
     def on_timer(self, key: Hashable, now: float) -> list[Effect]:
@@ -125,17 +115,13 @@ class PbftReplica:
             return self._on_prepare(sender, msg, now)
         if isinstance(msg, Commit):
             return self._on_commit(sender, msg, now)
-        if isinstance(msg, (StateRequest, StateSnapshot, LedgerSegment)):
+        if isinstance(msg, RECOVERY_MESSAGES):
             return self._on_recovery_msg(sender, msg, now)
         return []
 
     # ------------------------------------------------------------------
-    # Crash recovery
+    # Crash recovery: what differs from the shared RecoveryHost glue
     # ------------------------------------------------------------------
-
-    def begin_recovery(self) -> None:
-        """Arm catch-up: the next ``start()`` solicits state from peers."""
-        self._recover_on_start = True
 
     def _make_snapshot(self) -> StateSnapshot:
         return StateSnapshot(self.executed_sn, self.exec_log.state_digest())
@@ -150,32 +136,9 @@ class PbftReplica:
             del self._early_votes[sn]
         self.next_sn = max(self.next_sn, self.executed_sn + 1)
 
-    def restore_entries(self, entries) -> int:
-        """Reload a durable snapshot tail (process respawn, pre-boot)."""
-        before = self.exec_log.last_executed
-        self._install_recovered(entries)
-        return self.exec_log.last_executed - before
-
-    def _on_recovery_msg(self, sender: int, msg, now: float
-                         ) -> list[Effect]:
-        if isinstance(msg, StateRequest):
-            return self.recovery.on_request(sender, msg, now)
-        was_complete = self.recovery.complete
-        if isinstance(msg, StateSnapshot):
-            effects = self.recovery.on_snapshot(sender, msg, now)
-        else:
-            effects = self.recovery.on_segment(sender, msg, now)
-        if self.recovery.complete and not was_complete:
-            # Committed instances above the installed prefix may now run.
-            effects.extend(self._execute(now))
-        return effects
-
-    def recovery_summary(self) -> dict:
-        """Catch-up counters plus the executed tail (report section)."""
-        info = self.recovery.summary()
-        info["last_executed"] = self.executed_sn
-        info["exec_tail"] = self.exec_log.tail()
-        return info
+    def _on_caught_up(self, now: float) -> list[Effect]:
+        # Committed instances above the installed prefix may now run.
+        return self._execute(now)
 
     def _admit(self, block: PrePrepare, now: float) -> list[Effect]:
         if block.sn in self.instances or block.sn <= self.executed_sn:

@@ -104,7 +104,7 @@ class Ledger:
             self.last_executed = next_sn
         return result
 
-    def segment_entries(self, start: int, end: int):
+    def entries_between(self, start: int, end: int):
         """Executed positions with ``start < sn <= end`` (recovery serve).
 
         Returns backend-neutral :class:`repro.messages.recovery.SegmentEntry`

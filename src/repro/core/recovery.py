@@ -464,6 +464,78 @@ class RecoveryManager:
         }
 
 
+#: The messages :meth:`RecoveryHost._on_recovery_msg` handles.  A core
+#: tests for them last in its ``on_message`` chain, so the hot path pays
+#: nothing for recovery.
+RECOVERY_MESSAGES = (StateRequest, StateSnapshot, LedgerSegment)
+
+
+class RecoveryHost:
+    """The crash-recovery glue every replica core shares (a mixin).
+
+    A core calls :meth:`_init_recovery` with its executed-prefix log —
+    Leopard's :class:`~repro.core.ledger.Ledger` or a baseline's
+    :class:`ExecutionLog`, anything with ``last_executed``,
+    ``entries_between`` and ``tail`` — sends :data:`RECOVERY_MESSAGES`
+    to :meth:`_on_recovery_msg` and ``("rcv", ...)`` timers to
+    ``self.recovery``, and ends ``start()`` with
+    :meth:`_catch_up_on_start`.  It supplies only what differs:
+
+    * ``_make_snapshot()`` — the ``StateSnapshot`` it advertises;
+    * ``_install_recovered(entries)`` — install a verified prefix;
+    * ``_on_caught_up(now)`` — what it replays once catch-up completes.
+    """
+
+    _recover_on_start = False
+
+    def _init_recovery(self, log, verify_proof=None) -> None:
+        self._recovery_log = log
+        self.recovery = RecoveryManager(
+            self.node_id, self.config.n, self.config.f,
+            local_tip=lambda: log.last_executed,
+            make_snapshot=self._make_snapshot,
+            entries_between=log.entries_between,
+            install=self._install_recovered,
+            verify_proof=verify_proof)
+
+    def begin_recovery(self) -> None:
+        """Arm catch-up: the next ``start()`` solicits state from peers."""
+        self._recover_on_start = True
+
+    def _catch_up_on_start(self, now: float) -> list[Effect]:
+        if not self._recover_on_start:
+            return []
+        self._recover_on_start = False
+        return self.recovery.begin(now)
+
+    def _on_recovery_msg(self, sender: int, msg, now: float
+                         ) -> list[Effect]:
+        if isinstance(msg, StateRequest):
+            return self.recovery.on_request(sender, msg, now)
+        was_complete = self.recovery.complete
+        if isinstance(msg, StateSnapshot):
+            effects = self.recovery.on_snapshot(sender, msg, now)
+        else:
+            effects = self.recovery.on_segment(sender, msg, now)
+        if self.recovery.complete and not was_complete:
+            effects.extend(self._on_caught_up(now))
+        return effects
+
+    def restore_entries(self, entries) -> int:
+        """Reload a durable snapshot tail (process respawn, pre-boot);
+        returns how far the executed tip advanced."""
+        before = self._recovery_log.last_executed
+        self._install_recovered(entries)
+        return self._recovery_log.last_executed - before
+
+    def recovery_summary(self) -> dict:
+        """Catch-up counters plus the executed tail (report section)."""
+        info = self.recovery.summary()
+        info["last_executed"] = self._recovery_log.last_executed
+        info["exec_tail"] = self._recovery_log.tail()
+        return info
+
+
 # ---------------------------------------------------------------------------
 # Report assembly and convergence checking
 # ---------------------------------------------------------------------------
@@ -480,10 +552,7 @@ def recovery_section(replicas: list, *, snapshots_persisted: int = 0,
     sections: dict[str, dict] = {}
     any_recovery = False
     for core in replicas:
-        summarize = getattr(core, "recovery_summary", None)
-        if summarize is None:
-            continue
-        info = summarize()
+        info = core.recovery_summary()
         sections[str(core.node_id)] = info
         if info.get("rounds"):
             any_recovery = True

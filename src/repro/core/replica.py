@@ -31,7 +31,7 @@ from repro.core.config import LeopardConfig
 from repro.core.datablock_pool import DatablockPool, ReadyTracker
 from repro.core.ledger import Ledger
 from repro.core.mempool import Mempool
-from repro.core.recovery import RecoveryManager
+from repro.core.recovery import RECOVERY_MESSAGES, RecoveryHost
 from repro.core.retrieval import RetrievalManager
 from repro.core.viewchange import ViewChangeManager
 from repro.crypto.keys import KeyRegistry
@@ -62,11 +62,7 @@ from repro.messages.leopard import (
     ViewChangeMsg,
     checkpoint_payload,
 )
-from repro.messages.recovery import (
-    LedgerSegment,
-    StateRequest,
-    StateSnapshot,
-)
+from repro.messages.recovery import StateSnapshot
 
 #: Slack (seconds) on generation deadlines: a one-shot timer fires at
 #: ``now + (deadline - now)``, which can land an ulp short of ``deadline``,
@@ -74,7 +70,7 @@ from repro.messages.recovery import (
 _GEN_SLACK = 1e-6
 
 
-class LeopardReplica:
+class LeopardReplica(RecoveryHost):
     """One Leopard replica (leader or non-leader, per the current view)."""
 
     def __init__(self, replica_id: int, config: LeopardConfig,
@@ -97,15 +93,7 @@ class LeopardReplica:
         self.ledger = Ledger(self.pool, replica_id)
         self.vc = ViewChangeManager(
             config.n, config.f, replica_id, registry, self.scheme)
-        self.recovery = RecoveryManager(
-            replica_id, config.n, config.f,
-            local_tip=lambda: self.ledger.last_executed,
-            make_snapshot=self._make_snapshot,
-            entries_between=self.ledger.segment_entries,
-            install=self._install_recovered,
-            verify_proof=self._verify_checkpoint_proof,
-        )
-        self._recover_on_start = False
+        self._init_recovery(self.ledger, self._verify_checkpoint_proof)
 
         self.next_sn = 1
         self.datablock_counter = 1
@@ -167,9 +155,7 @@ class LeopardReplica:
         """Take up the view's role (and catch-up, after a restart)."""
         self._gen_deadline = None  # a host starts a core with no timer set
         effects = self._take_up_role(now)
-        if self._recover_on_start:
-            self._recover_on_start = False
-            effects.extend(self.recovery.begin(now))
+        effects.extend(self._catch_up_on_start(now))
         return effects
 
     def _take_up_role(self, now: float) -> list[Effect]:
@@ -226,17 +212,13 @@ class LeopardReplica:
             return self._on_viewchange_msg(sender, msg, now)
         if isinstance(msg, NewViewMsg):
             return self._on_new_view(sender, msg, now)
-        if isinstance(msg, (StateRequest, StateSnapshot, LedgerSegment)):
+        if isinstance(msg, RECOVERY_MESSAGES):
             return self._on_recovery_msg(sender, msg, now)
         return []
 
     # ------------------------------------------------------------------
-    # Crash recovery (state transfer + catch-up)
+    # Crash recovery: what differs from the shared RecoveryHost glue
     # ------------------------------------------------------------------
-
-    def begin_recovery(self) -> None:
-        """Arm catch-up: the next ``start()`` solicits state from peers."""
-        self._recover_on_start = True
 
     def _make_snapshot(self) -> StateSnapshot:
         return StateSnapshot(self.ledger.last_executed,
@@ -253,32 +235,13 @@ class LeopardReplica:
         self.store.advance_watermark(self.ledger.last_executed)
         self.next_sn = max(self.next_sn, self.ledger.last_executed + 1)
 
-    def restore_entries(self, entries) -> int:
-        """Reload a durable snapshot tail (process respawn, pre-boot)."""
-        return self.ledger.install_entries(entries)
-
-    def _on_recovery_msg(self, sender: int, msg, now: float
-                         ) -> list[Effect]:
-        if isinstance(msg, StateRequest):
-            return self.recovery.on_request(sender, msg, now)
-        was_complete = self.recovery.complete
-        if isinstance(msg, StateSnapshot):
-            effects = self.recovery.on_snapshot(sender, msg, now)
-        else:
-            effects = self.recovery.on_segment(sender, msg, now)
-        if self.recovery.complete and not was_complete:
-            anchor = self.recovery.anchor
-            if anchor is not None:
-                effects.extend(self._adopt_checkpoint(anchor, now))
-            effects.extend(self._try_execute(now))
+    def _on_caught_up(self, now: float) -> list[Effect]:
+        effects: list[Effect] = []
+        anchor = self.recovery.anchor
+        if anchor is not None:
+            effects.extend(self._adopt_checkpoint(anchor, now))
+        effects.extend(self._try_execute(now))
         return effects
-
-    def recovery_summary(self) -> dict:
-        """Catch-up counters plus the executed tail (report section)."""
-        info = self.recovery.summary()
-        info["last_executed"] = self.ledger.last_executed
-        info["exec_tail"] = self.ledger.tail()
-        return info
 
     # ------------------------------------------------------------------
     # Datablock preparation (Algorithm 1)

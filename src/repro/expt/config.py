@@ -42,10 +42,8 @@ from pathlib import Path
 from typing import Any
 
 from repro.errors import ConfigError
+from repro.protocols import PROTOCOLS
 
-#: Protocols the runner can dispatch (mirrors repro.net.protocols,
-#: kept literal so config parsing stays import-light).
-PROTOCOLS = ("leopard", "pbft", "hotstuff")
 BACKENDS = ("sim", "live")
 
 #: Matrix axes in canonical order (also the trial-id field order).

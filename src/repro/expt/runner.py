@@ -41,61 +41,28 @@ TRIAL_RESULT_SCHEMA = 1
 # ---------------------------------------------------------------------------
 
 
-def _run_sim_trial(trial: dict[str, Any], scenario) -> dict:
-    """One simulated trial, in the live topology (mirrors calibrate)."""
-    from repro.harness.cluster import (
-        build_hotstuff_cluster,
-        build_leopard_cluster,
-        build_pbft_cluster,
-    )
-    from repro.net.protocols import default_live_config_for
-
-    config = default_live_config_for(
-        trial["protocol"], trial["n"], payload_size=trial["payload"],
-        datablock_size=trial["datablock_size"])
-    if trial["protocol"] == "leopard":
-        cluster = build_leopard_cluster(
-            trial["n"], seed=trial["seed"], config=config,
-            total_rate=trial["rate"], clients_per_replica=1,
-            bundle_size=trial["bundle_size"], warmup=trial["warmup"],
-            prime=False)
-    elif trial["protocol"] == "pbft":
-        cluster = build_pbft_cluster(
-            trial["n"], seed=trial["seed"], config=config,
-            total_rate=trial["rate"], client_count=1,
-            bundle_size=trial["bundle_size"], warmup=trial["warmup"])
-    else:
-        cluster = build_hotstuff_cluster(
-            trial["n"], seed=trial["seed"], config=config,
-            total_rate=trial["rate"], client_count=1,
-            bundle_size=trial["bundle_size"], warmup=trial["warmup"])
-    run_seconds = trial["warmup"] + trial["duration"]
-    if scenario is not None:
-        from repro.net.chaos import schedule_scenario_sim
-
-        run_seconds = max(run_seconds, scenario.duration() + 0.5)
-        cluster.scenario_name = scenario.name
-        schedule_scenario_sim(cluster, scenario)
-    cluster.run(run_seconds)
-    return cluster.report()
-
-
-def _run_live_trial(trial: dict[str, Any], scenario) -> dict:
-    """One live localhost trial (ephemeral ports, so trials can overlap)."""
+def _run_trial(trial: dict[str, Any], scenario) -> dict:
+    """One trial in the live topology, on its backend.  Live runs bind
+    ephemeral ports, so trials can overlap."""
+    from repro.harness.cluster import run_sim
     from repro.net.live import run_live_sync
-    from repro.net.protocols import default_live_config_for
+    from repro.protocols import get_protocol
 
-    config = default_live_config_for(
-        trial["protocol"], trial["n"], payload_size=trial["payload"],
-        datablock_size=trial["datablock_size"])
-    client_count = max(1, trial["n"] - 1) \
-        if trial["protocol"] == "leopard" else 1
-    return run_live_sync(
-        n=trial["n"], client_count=client_count,
+    spec = get_protocol(trial["protocol"])
+    n = trial["n"]
+    point = dict(
+        protocol=spec.name, n=n,
         duration=trial["warmup"] + trial["duration"],
-        protocol=trial["protocol"], config=config,
-        total_rate=trial["rate"], bundle_size=trial["bundle_size"],
-        seed=trial["seed"], warmup=trial["warmup"], scenario=scenario)
+        config=spec.live_config(n, trial["payload"],
+                                trial["datablock_size"]),
+        client_count=spec.live_clients(n), total_rate=trial["rate"],
+        bundle_size=trial["bundle_size"], seed=trial["seed"],
+        warmup=trial["warmup"], scenario=scenario)
+    if trial["backend"] == "sim":
+        return run_sim(prime=False, **point)
+    if trial["backend"] == "live":
+        return run_live_sync(**point)
+    raise ValueError(f"unknown backend {trial['backend']!r}")
 
 
 def execute_trial(trial: dict[str, Any]) -> dict[str, Any]:
@@ -108,12 +75,7 @@ def execute_trial(trial: dict[str, Any]) -> dict[str, Any]:
 
         scenario = load_scenario(trial["scenario"])
     started = time.time()
-    if trial["backend"] == "sim":
-        report = _run_sim_trial(trial, scenario)
-    elif trial["backend"] == "live":
-        report = _run_live_trial(trial, scenario)
-    else:
-        raise ValueError(f"unknown backend {trial['backend']!r}")
+    report = _run_trial(trial, scenario)
     return {
         "schema": TRIAL_RESULT_SCHEMA,
         "kind": "trial_result",

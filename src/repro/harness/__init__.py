@@ -2,7 +2,7 @@
 
 from repro.harness.cluster import (
     Cluster,
-    build_hotstuff_cluster,
+    build_cluster,
     build_leopard_cluster,
     build_pbft_cluster,
     throttle_all_replicas,
@@ -14,7 +14,7 @@ __all__ = [
     "ALL_EXPERIMENTS",
     "Cluster",
     "ExperimentResult",
-    "build_hotstuff_cluster",
+    "build_cluster",
     "build_leopard_cluster",
     "build_pbft_cluster",
     "full_scale",

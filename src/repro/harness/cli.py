@@ -139,14 +139,14 @@ def _write_report(report: dict, output: str | None) -> None:
 
 def run_live_command(argv: list[str]) -> int:
     """The ``run-live`` subcommand: boot a localhost TCP cluster."""
-    from repro.net.protocols import LIVE_PROTOCOLS
+    from repro.protocols import PROTOCOLS
 
     parser = argparse.ArgumentParser(
         prog="repro-experiments run-live",
         description="Run a live localhost BFT cluster over real TCP "
                     "sockets (any of the paper's three protocols, "
                     "in-process or one OS process per replica).")
-    parser.add_argument("--protocol", choices=LIVE_PROTOCOLS,
+    parser.add_argument("--protocol", choices=PROTOCOLS,
                         default="leopard",
                         help="which protocol to boot (default leopard)")
     parser.add_argument("--processes", action="store_true",
@@ -220,7 +220,7 @@ def run_live_command(argv: list[str]) -> int:
             warmup=args.warmup, scenario=scenario)
     else:
         from repro.net.live import run_live_sync
-        from repro.net.protocols import default_live_config_for
+        from repro.protocols import default_live_config_for
 
         config = default_live_config_for(
             args.protocol, args.replicas, payload_size=args.payload,
@@ -348,7 +348,7 @@ def _render_faulted_calibration(report: dict) -> str:
 
 def calibrate_command(argv: list[str]) -> int:
     """The ``calibrate`` subcommand: one point under both backends."""
-    from repro.net.protocols import LIVE_PROTOCOLS
+    from repro.protocols import PROTOCOLS
 
     parser = argparse.ArgumentParser(
         prog="repro-experiments calibrate",
@@ -356,7 +356,7 @@ def calibrate_command(argv: list[str]) -> int:
                     "both the simulator and the live runtime, and emit "
                     "a reconciliation report of the deltas against the "
                     "calibration constants.")
-    parser.add_argument("--protocol", choices=LIVE_PROTOCOLS,
+    parser.add_argument("--protocol", choices=PROTOCOLS,
                         default="leopard")
     parser.add_argument("--replicas", type=int, default=4,
                         help="replica count n (default 4)")
@@ -551,54 +551,9 @@ def calibrate_command(argv: list[str]) -> int:
     return 0
 
 
-def _traced_sim_run(args, tracer, scenario) -> dict:
-    """One simulated run with lifecycle tracing, in the live topology.
-
-    Mirrors the sim side of :func:`repro.analysis.calibration.
-    compare_live_sim`: the same live smoke config and client topology,
-    so a sim trace and a live trace of the same point line up
-    phase-for-phase.
-    """
-    from repro.harness.cluster import (
-        build_hotstuff_cluster,
-        build_leopard_cluster,
-        build_pbft_cluster,
-    )
-    from repro.net.protocols import default_live_config_for
-
-    config = default_live_config_for(
-        args.protocol, args.replicas, payload_size=args.payload,
-        datablock_size=args.datablock_size)
-    if args.protocol == "leopard":
-        cluster = build_leopard_cluster(
-            args.replicas, seed=args.seed, config=config,
-            total_rate=args.rate, clients_per_replica=1,
-            bundle_size=args.bundle_size, warmup=0.0, prime=False)
-    elif args.protocol == "pbft":
-        cluster = build_pbft_cluster(
-            args.replicas, seed=args.seed, config=config,
-            total_rate=args.rate, client_count=1,
-            bundle_size=args.bundle_size, warmup=0.0)
-    else:
-        cluster = build_hotstuff_cluster(
-            args.replicas, seed=args.seed, config=config,
-            total_rate=args.rate, client_count=1,
-            bundle_size=args.bundle_size, warmup=0.0)
-    cluster.install_tracer(tracer)
-    run_seconds = args.duration
-    if scenario is not None:
-        from repro.net.chaos import schedule_scenario_sim
-
-        run_seconds = max(run_seconds, scenario.duration() + 0.5)
-        cluster.scenario_name = scenario.name
-        schedule_scenario_sim(cluster, scenario)
-    cluster.run(run_seconds)
-    return cluster.report()
-
-
 def trace_command(argv: list[str]) -> int:
     """The ``trace`` subcommand: record and render request lifecycles."""
-    from repro.net.protocols import LIVE_PROTOCOLS
+    from repro.protocols import PROTOCOLS
 
     parser = argparse.ArgumentParser(
         prog="repro-experiments trace",
@@ -615,7 +570,7 @@ def trace_command(argv: list[str]) -> int:
                         help="live backend only: one OS process per "
                              "replica; per-child ring traces are merged "
                              "onto the parent's measurement clock")
-    parser.add_argument("--protocol", choices=LIVE_PROTOCOLS,
+    parser.add_argument("--protocol", choices=PROTOCOLS,
                         default="leopard")
     parser.add_argument("--replicas", type=int, default=4,
                         help="replica count n (default 4)")
@@ -686,7 +641,21 @@ def trace_command(argv: list[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.backend == "sim":
-        report = _traced_sim_run(args, tracer, scenario)
+        # The sim side of calibrate: the live smoke config and client
+        # topology, so a sim trace and a live trace of the same point
+        # line up phase for phase.
+        from repro.harness.cluster import run_sim
+        from repro.protocols import get_protocol
+
+        spec = get_protocol(args.protocol)
+        report = run_sim(
+            args.protocol, args.replicas, args.duration,
+            config=spec.live_config(args.replicas, args.payload,
+                                    args.datablock_size),
+            client_count=spec.live_clients(args.replicas),
+            total_rate=args.rate, bundle_size=args.bundle_size,
+            seed=args.seed, warmup=0.0, prime=False, scenario=scenario,
+            tracer=tracer)
     elif args.processes:
         from repro.harness.procs import run_live_processes
 
@@ -699,7 +668,7 @@ def trace_command(argv: list[str]) -> int:
             scenario=scenario, tracer=tracer)
     else:
         from repro.net.live import run_live_sync
-        from repro.net.protocols import default_live_config_for
+        from repro.protocols import default_live_config_for
 
         config = default_live_config_for(
             args.protocol, args.replicas, payload_size=args.payload,

@@ -1,6 +1,8 @@
-"""Cluster builders: assemble simulated Leopard/HotStuff/PBFT deployments.
+"""The simulated deployment: one builder for Leopard, PBFT and HotStuff.
 
-A :class:`Cluster` bundles the simulation, the replica cores, the client
+:func:`build_cluster` assembles any protocol of the registry
+(:mod:`repro.protocols`) on the discrete-event simulator; a
+:class:`Cluster` bundles the simulation, the replica cores, the client
 cores and the measurement conventions shared by every experiment:
 
 * node ids ``0..n-1`` are replicas, ``n..n+m-1`` are clients;
@@ -11,22 +13,13 @@ cores and the measurement conventions shared by every experiment:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace as dc_replace
-from typing import Callable
 
 from repro.analysis.calibration import (
     CostModel,
     DEFAULT_COSTS,
     client_cpu_model,
-    hotstuff_cpu_model,
-    leopard_cpu_model,
-    pbft_cpu_model,
 )
-from repro.core.client import LeopardClient
-from repro.core.config import LeopardConfig
-from repro.core.replica import LeopardReplica
-from repro.crypto.keys import KeyRegistry
 from repro.errors import ConfigError
 from repro.faults import (
     HONEST,
@@ -38,6 +31,7 @@ from repro.faults import (
     partition_behavior,
 )
 from repro.obs.timeseries import TimeSeries
+from repro.protocols import ProtocolSpec, get_protocol
 from repro.sim.metrics import node_bandwidth_bps
 from repro.sim.network import DEFAULT_BANDWIDTH_BPS, Network
 from repro.sim.runner import Simulation
@@ -49,7 +43,12 @@ class Cluster:
     """A ready-to-run simulated deployment."""
 
     sim: Simulation
-    protocol: str
+    #: The protocol's registry entry, the run's config and the shared
+    #: replica context: a chaos ``restart`` rebuilds a crashed replica
+    #: from these, as the live cluster does.
+    spec: ProtocolSpec
+    config: object
+    context: object
     n: int
     replicas: list
     clients: list
@@ -58,9 +57,6 @@ class Cluster:
     leader: int
     run_seconds: float = 0.0
     faults: dict[int, FaultBehavior] = field(default_factory=dict)
-    #: ``replica_id -> fresh core`` factory the builders install so a
-    #: chaos ``restart`` can rebuild a crashed replica from genesis.
-    rebuild_replica: Callable | None = None
     restarts: int = 0
     chaos_log: list = field(default_factory=list)
     scenario_name: str | None = None
@@ -69,6 +65,11 @@ class Cluster:
     #: paths structurally untouched.
     tracer: object | None = None
     _sampler_installed: bool = field(default=False, repr=False)
+
+    @property
+    def protocol(self) -> str:
+        """The protocol's registry name."""
+        return self.spec.name
 
     @property
     def metrics(self) -> MetricsCollector:
@@ -137,10 +138,7 @@ class Cluster:
 
     def throughput_bps(self) -> float:
         """Goodput in payload bits/second (Fig. 10's unit)."""
-        payload = self.replicas[0].config.payload_size \
-            if self.protocol == "leopard" \
-            else self.replicas[0].payload_size
-        return self.throughput() * payload * 8.0
+        return self.throughput() * self.config.payload_size * 8.0
 
     def mean_latency(self) -> float:
         """Mean client-observed latency in seconds."""
@@ -233,15 +231,13 @@ class Cluster:
         live agreement (:mod:`repro.core.recovery`); recovery traffic
         flows through the modelled NICs like any other message.
         """
-        if self.rebuild_replica is None:
-            raise ConfigError(
-                f"{self.protocol} cluster has no replica rebuild factory")
         node = self.sim.nodes[replica_id]
         if not node.fault.crashed:
             raise ConfigError(
                 f"replica {replica_id} is not crashed; only a crashed "
                 "replica can be restarted")
-        core = self.rebuild_replica(replica_id)
+        core = self.spec.make_replica(replica_id, self.config, self.context,
+                                      self.metrics.perf)
         node.core = core
         self.replicas[replica_id] = core
         self.faults.pop(replica_id, None)
@@ -249,8 +245,7 @@ class Cluster:
         node._timer_generation.clear()
         if hasattr(core, "backlog_probe"):
             core.backlog_probe = node._backlog_probe
-        if hasattr(core, "begin_recovery"):
-            core.begin_recovery()
+        core.begin_recovery()
         if self.tracer is not None:
             node.install_tracer(self.tracer)
         node.boot()
@@ -313,8 +308,8 @@ class Cluster:
         }
 
 
-def _bucket_width_hint(n: int, block_bytes: int, bandwidth_bps: float,
-                       fanout: int = 1) -> float:
+def _bucket_width_hint(block_bytes: int, bandwidth_bps: float,
+                       fanout: int) -> float:
     """Calendar bucket width sized from the NIC serialization quantum.
 
     ``fanout`` captures the protocol's traffic shape.  For all-to-all
@@ -325,7 +320,7 @@ def _bucket_width_hint(n: int, block_bytes: int, bandwidth_bps: float,
     follow-on events (rx serialization + CPU occupancy, at least one
     further quantum) land beyond the bucket being drained.  For
     leader-based dissemination (HotStuff/PBFT: one sender, ~n× sparser
-    events) pass ``fanout = n - 1`` so a bucket spans a slice of the
+    events) ``fanout = n - 1`` makes a bucket span a slice of the
     whole egress ramp instead; per-copy-sized buckets there would mean
     one cursor advance per event.  Clamped so degenerate payloads (tiny
     control messages, throttled NICs) still get useful buckets.
@@ -343,14 +338,15 @@ def _pick_measure_replica(n: int, leader: int, faulty: set[int]) -> int:
     raise ConfigError("no honest non-leader replica available to measure")
 
 
-def build_leopard_cluster(
+def build_cluster(
+        protocol: str,
         n: int,
         seed: int = 0,
-        config: LeopardConfig | None = None,
+        config=None,
         costs: CostModel = DEFAULT_COSTS,
         bandwidth_bps: float = DEFAULT_BANDWIDTH_BPS,
         total_rate: float | None = None,
-        clients_per_replica: int = 1,
+        client_count: int | None = None,
         bundle_size: int = 500,
         warmup: float | None = None,
         faults: dict[int, FaultBehavior] | None = None,
@@ -359,61 +355,58 @@ def build_leopard_cluster(
         gst: float = 0.0,
         prime: bool = True,
 ) -> Cluster:
-    """Build a Leopard deployment of ``n`` replicas plus load clients.
+    """Build a simulated deployment of ``n`` replicas plus load clients.
+
+    Every default comes from the protocol's
+    :class:`repro.protocols.ProtocolSpec`, the registry the live runtime
+    builds from too.
 
     Args:
+        protocol: ``leopard``, ``pbft`` or ``hotstuff``.
         n: replica count (3f+1 fault tolerance, as all paper experiments).
         seed: determinism seed (keys, jitter).
-        config: protocol configuration; defaults to ``LeopardConfig(n)``.
+        config: protocol configuration; defaults to the paper-scale one.
         costs: CPU calibration.
         bandwidth_bps: per-node NIC capacity (Fig. 10 throttles this).
-        total_rate: offered load in requests/s across all clients; defaults
-            to a saturating 1.6x of the calibrated capacity ceiling.
-        clients_per_replica: client nodes per non-leader replica.
+        total_rate: offered load in requests/s across all clients;
+            defaults to a load saturating the calibrated ceiling.
+        client_count: load clients (Leopard: one per non-leader replica;
+            the baselines: four, all submitting to the leader).
         bundle_size: requests per client submission.
-        warmup: metrics warmup window (seconds).  Defaults to an
-            estimate of the saturation ramp: the flow-control window
-            admits W·(n-1) datablocks in flight, which take roughly
-            W·(n-1)·α·t_verify seconds to stream through each data plane
-            ("each lasting until the measurement is stabilized", §VI).
+        warmup: metrics warmup window (seconds).  Leopard's default
+            estimates the saturation ramp (and stretches a progress
+            timeout the ramp would trip); the baselines' is 1 s.
         faults: optional ``replica_id -> FaultBehavior`` map (≤ f entries).
-        resubmit: enable client re-submission on ack timeout.
-        trace_phases: collect the Table IV latency-phase breakdown.
+        resubmit: Leopard clients re-submit on ack timeout.
+        trace_phases: collect Leopard's Table IV latency-phase breakdown.
         gst: global stabilization time of the partial-synchrony model.
-        prime: inject the initial saturating request burst into every
-            client (the paper's steady-saturation setup).  Disable for
-            targeted workloads — e.g. the n = 1000 single-block commit
-            smoke, where an all-replica burst would cost O(n²·blocks)
-            Ready events.
+        prime: inject the protocol's initial saturating request burst
+            into every client (Leopard's steady-saturation setup; the
+            baselines have none).  Disable for targeted workloads — e.g.
+            the n = 1000 single-block commit smoke, where an all-replica
+            burst would cost O(n²·blocks) Ready events.
     """
-    config = config if config is not None else LeopardConfig(n=n)
+    spec = get_protocol(protocol)
+    config = config if config is not None else spec.paper_config(n)
     if config.n != n:
         raise ConfigError("config.n must match the requested cluster size")
     faults = dict(faults or {})
     if len(faults) > config.f:
         raise ConfigError(f"at most f={config.f} faulty replicas allowed")
-    client_count = max(1, (n - 1) * clients_per_replica)
+    if client_count is None:
+        client_count = spec.sim_clients(n)
     if total_rate is None:
-        total_rate = 1.6 / costs.leopard_verify_exec_per_request
+        total_rate = spec.saturating_rate(config, costs, bandwidth_bps)
     if warmup is None:
-        ramp = (config.max_outstanding_datablocks * (n - 1)
-                * config.datablock_size
-                * costs.leopard_verify_exec_per_request)
-        warmup = 1.0 + 3.0 * ramp
-        if config.progress_timeout < warmup:
-            # The saturation ramp at large n exceeds the default
-            # view-change trigger; a fault-free stress run must not
-            # misread pipeline fill as a dead leader (the paper: "the
-            # timer ... should be set appropriately").
-            config = dc_replace(config, progress_timeout=2.0 * warmup)
+        warmup, config = spec.default_warmup(config, costs)
     network = Network(n + client_count, bandwidth_bps=bandwidth_bps,
                       gst=gst, seed=seed)
     metrics = MetricsCollector(warmup=warmup, timeseries=TimeSeries())
+    block_bytes, fanout = spec.bucket_hint(config, bundle_size)
     sim = Simulation(
         network, replica_count=n, metrics=metrics,
-        bucket_width=_bucket_width_hint(
-            n, config.datablock_size * config.payload_size, bandwidth_bps))
-    registry = KeyRegistry(n, config.f, seed=seed)
+        bucket_width=_bucket_width_hint(block_bytes, bandwidth_bps, fanout))
+    context = spec.make_context(config, seed)
     leader = config.leader_of(1)
     measure = _pick_measure_replica(n, leader, set(faults))
 
@@ -421,13 +414,13 @@ def build_leopard_cluster(
     # One shared cost-model closure per role: every replica host holding
     # the same callable lets the broadcast fast path memoize the
     # per-message CPU cost across all n-1 copies.
-    replica_cpu = leopard_cpu_model(costs)
+    replica_cpu = spec.cpu_model(costs)
     for replica_id in range(n):
         replica_config = config
         if trace_phases and replica_id == measure:
             replica_config = dc_replace(config, trace_phases=True)
-        replica = LeopardReplica(replica_id, replica_config, registry)
-        replica.attach_perf(metrics.perf)
+        replica = spec.make_replica(replica_id, replica_config, context,
+                                    metrics.perf)
         sim.add_node(replica, cpu_model=replica_cpu,
                      fault=faults.get(replica_id, HONEST))
         replicas.append(replica)
@@ -436,36 +429,54 @@ def build_leopard_cluster(
     client_cpu = client_cpu_model(costs)
     per_client_rate = total_rate / client_count
     for index in range(client_count):
-        client_id = n + index
-        client = LeopardClient(
-            client_id, config, rate=per_client_rate,
-            bundle_size=bundle_size, resubmit=resubmit,
-            trace_phases=trace_phases)
+        client = spec.make_client(
+            n + index, config, per_client_rate, bundle_size,
+            resubmit=resubmit, trace_phases=trace_phases)
         sim.add_node(client, cpu_model=client_cpu)
         clients.append(client)
 
-    cluster = Cluster(sim=sim, protocol="leopard", n=n, replicas=replicas,
-                      clients=clients, measure_replica=measure,
-                      warmup=warmup, leader=leader, faults=faults)
-
-    def _rebuild_leopard(replica_id: int, config=config, registry=registry,
-                         metrics=metrics):
-        replica = LeopardReplica(replica_id, config, registry)
-        replica.attach_perf(metrics.perf)
-        return replica
-
-    cluster.rebuild_replica = _rebuild_leopard
-    # Prime the mempools so datablocks are full from the start; the paper
-    # stress-tests "with a saturated request rate ... until the measurement
-    # is stabilized".
-    if prime:
-        burst = max(1, math.ceil(
-            2 * config.datablock_size / max(1, clients_per_replica)))
-        _prime_leopard(cluster, burst)
+    cluster = Cluster(sim=sim, spec=spec, config=config, context=context,
+                      n=n, replicas=replicas, clients=clients,
+                      measure_replica=measure, warmup=warmup,
+                      leader=leader, faults=faults)
+    burst = spec.prime_burst(config) if prime else 0
+    if burst:
+        _prime(cluster, burst)
     return cluster
 
 
-def _prime_leopard(cluster: Cluster, burst: int) -> None:
+def build_leopard_cluster(n: int, **options) -> Cluster:
+    """:func:`build_cluster` for Leopard."""
+    return build_cluster("leopard", n, **options)
+
+
+def build_pbft_cluster(n: int, **options) -> Cluster:
+    """:func:`build_cluster` for PBFT / BFT-SMaRt (the Fig. 1 baseline)."""
+    return build_cluster("pbft", n, **options)
+
+
+def run_sim(protocol: str, n: int, duration: float, *, scenario=None,
+            tracer=None, **options) -> dict:
+    """Simulate ``duration`` seconds and return the run's report.
+
+    The simulated counterpart of :func:`repro.net.live.run_live`: with a
+    chaos ``scenario`` the run lasts until 0.5 s past its last event.
+    ``options`` go to :func:`build_cluster`.
+    """
+    cluster = build_cluster(protocol, n, **options)
+    if tracer is not None:
+        cluster.install_tracer(tracer)
+    if scenario is not None:
+        from repro.net.chaos import schedule_scenario_sim
+
+        duration = max(duration, scenario.duration() + 0.5)
+        cluster.scenario_name = scenario.name
+        schedule_scenario_sim(cluster, scenario)
+    cluster.run(duration)
+    return cluster.report()
+
+
+def _prime(cluster: Cluster, burst: int) -> None:
     """Inject an initial request burst directly into client submission."""
     from repro.messages.client import RequestBundle
 
@@ -483,140 +494,3 @@ def throttle_all_replicas(cluster: Cluster, bandwidth_bps: float) -> None:
     """NetEm stand-in: throttle every replica NIC (paper §VI-B)."""
     for replica_id in range(cluster.n):
         cluster.network.set_bandwidth(replica_id, bandwidth_bps)
-
-
-def build_hotstuff_cluster(
-        n: int,
-        seed: int = 0,
-        config: "HotStuffConfig | None" = None,
-        costs: CostModel = DEFAULT_COSTS,
-        bandwidth_bps: float = DEFAULT_BANDWIDTH_BPS,
-        total_rate: float | None = None,
-        client_count: int = 4,
-        bundle_size: int = 500,
-        warmup: float = 1.0,
-        faults: dict[int, FaultBehavior] | None = None,
-) -> Cluster:
-    """Build a chained-HotStuff deployment (clients submit to the leader).
-
-    Parameters mirror :func:`build_leopard_cluster`; ``total_rate``
-    defaults to a load saturating the leader's calibrated ceiling.
-    """
-    from repro.baselines.client import BaselineClient
-    from repro.baselines.hotstuff.config import HotStuffConfig
-    from repro.baselines.hotstuff.replica import HotStuffReplica
-
-    config = config if config is not None else HotStuffConfig(n=n)
-    if config.n != n:
-        raise ConfigError("config.n must match the requested cluster size")
-    faults = dict(faults or {})
-    if total_rate is None:
-        # Offered load comfortably above both the CPU and the NIC ceiling.
-        nic_ceiling = (bandwidth_bps / 2.0) / (
-            config.payload_size * 8.0 * max(1, n - 1))
-        cpu_ceiling = 1.0 / (costs.hotstuff_ingest_per_request
-                             + costs.hotstuff_exec_per_request
-                             + costs.per_send_byte * config.payload_size
-                             * (n - 1))
-        total_rate = 1.5 * min(nic_ceiling, cpu_ceiling)
-    network = Network(n + client_count, bandwidth_bps=bandwidth_bps,
-                      seed=seed)
-    metrics = MetricsCollector(warmup=warmup, timeseries=TimeSeries())
-    sim = Simulation(
-        network, replica_count=n, metrics=metrics,
-        bucket_width=_bucket_width_hint(
-            n, config.payload_size * bundle_size, bandwidth_bps,
-            fanout=n - 1))
-    leader = config.leader_of(1)
-    measure = _pick_measure_replica(n, leader, set(faults))
-
-    replicas = []
-    replica_cpu = hotstuff_cpu_model(costs)
-    for replica_id in range(n):
-        replica = HotStuffReplica(replica_id, config)
-        sim.add_node(replica, cpu_model=replica_cpu,
-                     fault=faults.get(replica_id, HONEST))
-        replicas.append(replica)
-
-    clients = []
-    client_cpu = client_cpu_model(costs)
-    per_client_rate = total_rate / client_count
-    for index in range(client_count):
-        client = BaselineClient(
-            n + index, target=leader, rate=per_client_rate,
-            payload_size=config.payload_size, bundle_size=bundle_size)
-        sim.add_node(client, cpu_model=client_cpu)
-        clients.append(client)
-
-    cluster = Cluster(sim=sim, protocol="hotstuff", n=n, replicas=replicas,
-                      clients=clients, measure_replica=measure,
-                      warmup=warmup, leader=leader, faults=faults)
-    cluster.rebuild_replica = \
-        lambda replica_id, config=config: HotStuffReplica(replica_id, config)
-    return cluster
-
-
-def build_pbft_cluster(
-        n: int,
-        seed: int = 0,
-        config: "PbftConfig | None" = None,
-        costs: CostModel = DEFAULT_COSTS,
-        bandwidth_bps: float = DEFAULT_BANDWIDTH_BPS,
-        total_rate: float | None = None,
-        client_count: int = 4,
-        bundle_size: int = 500,
-        warmup: float = 1.0,
-        faults: dict[int, FaultBehavior] | None = None,
-) -> Cluster:
-    """Build a PBFT / BFT-SMaRt deployment (Fig. 1 baseline)."""
-    from repro.baselines.client import BaselineClient
-    from repro.baselines.pbft.config import PbftConfig
-    from repro.baselines.pbft.replica import PbftReplica
-
-    config = config if config is not None else PbftConfig(n=n)
-    if config.n != n:
-        raise ConfigError("config.n must match the requested cluster size")
-    faults = dict(faults or {})
-    if total_rate is None:
-        nic_ceiling = (bandwidth_bps / 2.0) / (
-            config.payload_size * 8.0 * max(1, n - 1))
-        cpu_ceiling = 1.0 / (costs.pbft_ingest_per_request
-                             + costs.pbft_exec_per_request
-                             + costs.per_send_byte * config.payload_size
-                             * (n - 1))
-        total_rate = 1.5 * min(nic_ceiling, cpu_ceiling)
-    network = Network(n + client_count, bandwidth_bps=bandwidth_bps,
-                      seed=seed)
-    metrics = MetricsCollector(warmup=warmup, timeseries=TimeSeries())
-    sim = Simulation(
-        network, replica_count=n, metrics=metrics,
-        bucket_width=_bucket_width_hint(
-            n, config.payload_size * bundle_size, bandwidth_bps,
-            fanout=n - 1))
-    leader = config.leader_of(1)
-    measure = _pick_measure_replica(n, leader, set(faults))
-
-    replicas = []
-    replica_cpu = pbft_cpu_model(costs)
-    for replica_id in range(n):
-        replica = PbftReplica(replica_id, config)
-        sim.add_node(replica, cpu_model=replica_cpu,
-                     fault=faults.get(replica_id, HONEST))
-        replicas.append(replica)
-
-    clients = []
-    client_cpu = client_cpu_model(costs)
-    per_client_rate = total_rate / client_count
-    for index in range(client_count):
-        client = BaselineClient(
-            n + index, target=leader, rate=per_client_rate,
-            payload_size=config.payload_size, bundle_size=bundle_size)
-        sim.add_node(client, cpu_model=client_cpu)
-        clients.append(client)
-
-    cluster = Cluster(sim=sim, protocol="pbft", n=n, replicas=replicas,
-                      clients=clients, measure_replica=measure,
-                      warmup=warmup, leader=leader, faults=faults)
-    cluster.rebuild_replica = \
-        lambda replica_id, config=config: PbftReplica(replica_id, config)
-    return cluster

@@ -16,7 +16,7 @@ from repro.analysis.calibration import DEFAULT_COSTS, CostModel
 from repro.core.config import LeopardConfig, table2_parameters
 from repro.faults import Crash, SelectiveDisseminator
 from repro.harness.cluster import (
-    build_hotstuff_cluster,
+    build_cluster,
     build_leopard_cluster,
     build_pbft_cluster,
 )
@@ -89,8 +89,9 @@ def fig1_baseline_scaling(duration: float = 3.0) -> ExperimentResult:
         from repro.baselines.hotstuff.config import HotStuffConfig
         from repro.baselines.pbft.config import PbftConfig
         for n in hs_sim:
-            cluster = build_hotstuff_cluster(
-                n=n, seed=1, config=HotStuffConfig(n=n, payload_size=payload))
+            cluster = build_cluster(
+                "hotstuff", n, seed=1,
+                config=HotStuffConfig(n=n, payload_size=payload))
             cluster.run(cluster.warmup + duration)
             result.rows.append(
                 ("hotstuff", payload, n, cluster.throughput(), "sim"))
@@ -129,7 +130,7 @@ def fig2_leader_bottleneck(duration: float = 3.0) -> ExperimentResult:
         ["n", "throughput_rps", "leader_bandwidth_gbps"])
     ns = (4, 16, 32, 64) if not full_scale() else (4, 16, 32, 64, 128, 256)
     for n in ns:
-        cluster = build_hotstuff_cluster(n=n, seed=2)
+        cluster = build_cluster("hotstuff", n, seed=2)
         cluster.run(cluster.warmup + duration)
         result.rows.append((
             n, cluster.throughput(),
@@ -175,8 +176,9 @@ def fig6_hotstuff_batch(duration: float = 3.0) -> ExperimentResult:
     batches = (100, 200, 400, 800, 1200)
     for n in ns:
         for batch in batches:
-            cluster = build_hotstuff_cluster(
-                n=n, seed=3, config=HotStuffConfig(n=n, batch_size=batch))
+            cluster = build_cluster(
+                "hotstuff", n, seed=3,
+                config=HotStuffConfig(n=n, batch_size=batch))
             cluster.run(cluster.warmup + duration)
             result.rows.append((n, batch, cluster.throughput()))
     result.notes.append("expected shape: rises with batch size, then flat")
@@ -275,7 +277,7 @@ def fig9_throughput_scaling(duration: float = 3.0) -> ExperimentResult:
             continue
         result.rows.append(("leopard", n, leopard_model_rps(n), "model"))
     for n in hs_sim:
-        cluster = build_hotstuff_cluster(n=n, seed=6)
+        cluster = build_cluster("hotstuff", n, seed=6)
         cluster.run(cluster.warmup + duration)
         result.rows.append(("hotstuff", n, cluster.throughput(), "sim"))
     for n in model_ns:
@@ -328,9 +330,9 @@ def fig10_scaling_up(duration_factor: float = 6.0) -> ExperimentResult:
             # seconds, so give it a proportionally longer run.
             hs_block_interval = (800 * payload_bits * (n - 1)) / (bw / 2.0)
             hs_run = max(duration_factor, 8.0 * hs_block_interval)
-            cluster = build_hotstuff_cluster(
-                n=n, seed=8, bandwidth_bps=bw, total_rate=0.9 * hs_cap,
-                warmup=2.0)
+            cluster = build_cluster(
+                "hotstuff", n, seed=8, bandwidth_bps=bw,
+                total_rate=0.9 * hs_cap, warmup=2.0)
             cluster.run(2.0 + hs_run)
             result.rows.append((
                 "hotstuff", n, bw / 1e6, cluster.throughput_bps() / 1e6,
@@ -408,7 +410,7 @@ def fig11_leader_bandwidth(duration: float = 3.0) -> ExperimentResult:
         result.rows.append(
             ("leopard", n, cluster.leader_bandwidth_bps() / 1e6))
     for n in ns:
-        cluster = build_hotstuff_cluster(n=n, seed=11)
+        cluster = build_cluster("hotstuff", n, seed=11)
         cluster.run(cluster.warmup + duration)
         result.rows.append(
             ("hotstuff", n, cluster.leader_bandwidth_bps() / 1e6))

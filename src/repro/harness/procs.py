@@ -54,10 +54,10 @@ from repro.faults import FaultBehavior, fault_from_spec, fault_to_spec
 from repro.net.chaos import PROCESS_OPS, ChaosScenario
 from repro.net.live import transport_summary
 from repro.net.node import LiveNode
-from repro.net.protocols import default_live_config_for, get_protocol
 from repro.net.transport import Router
 from repro.obs.timeseries import TimeSeries
 from repro.obs.tracer import RingTracer, merge_trace_parts
+from repro.protocols import get_protocol
 from repro.stats import MetricsCollector, NicStats, standard_report
 
 #: Seconds a child gets to exit after its stop time before SIGTERM.
@@ -79,16 +79,14 @@ SNAPSHOT_PERIOD = 0.5
 SNAPSHOT_TAIL = 4096
 
 
-def _snapshot_state(core, saved_at: float) -> dict | None:
+def _snapshot_state(core, saved_at: float) -> dict:
     """Project a core's executed tail into a JSON-durable snapshot.
 
     Uses the recovery manager's own serve-side callbacks, so the persisted
     entries are byte-for-byte what the replica would send a catching-up
     peer over the wire.
     """
-    recovery = getattr(core, "recovery", None)
-    if recovery is None:
-        return None
+    recovery = core.recovery
     tip = recovery.local_tip()
     entries = recovery.entries_between(max(0, tip - SNAPSHOT_TAIL), tip)
     return {
@@ -288,11 +286,13 @@ def run_replica_from_spec(spec: dict) -> dict:
     epoch = float(spec["epoch"])
     stop_at_unix = float(spec["stop_at_unix"])
     proto = get_protocol(protocol)
-    config = default_live_config_for(
-        protocol, n, payload_size=int(spec["payload_size"]),
-        datablock_size=int(spec["datablock_size"]))
-    context = proto.make_context(config, int(spec["seed"]))
-    core = proto.make_replica(node_id, config, context)
+    config = proto.live_config(n, int(spec["payload_size"]),
+                               int(spec["datablock_size"]))
+    metrics = MetricsCollector(warmup=float(spec["warmup"]),
+                               timeseries=TimeSeries())
+    core = proto.make_replica(node_id, config,
+                              proto.make_context(config, int(spec["seed"])),
+                              metrics.perf)
     # Durable crash-recovery: a snapshot file left by a predecessor
     # process (this child is a chaos respawn) is reloaded *before* boot,
     # so the replica restarts from its persisted executed prefix instead
@@ -305,16 +305,11 @@ def run_replica_from_spec(spec: dict) -> dict:
             snapshot = json.loads(Path(snapshot_path).read_text())
         except (OSError, ValueError):
             snapshot = None  # torn write at SIGKILL: fall back to wire
-        if snapshot and hasattr(core, "restore_entries"):
+        if snapshot:
             _restore_state(core, snapshot)
             restored_from_disk = True
-        if hasattr(core, "begin_recovery"):
-            core.begin_recovery()
+        core.begin_recovery()
     snapshots_persisted = 0
-    metrics = MetricsCollector(warmup=float(spec["warmup"]),
-                               timeseries=TimeSeries())
-    if hasattr(core, "attach_perf"):
-        core.attach_perf(metrics.perf)
     address_book = {int(key): (host, int(port))
                     for key, (host, port) in spec["address_book"].items()}
     host, port = address_book[node_id]
@@ -350,8 +345,6 @@ def run_replica_from_spec(spec: dict) -> dict:
         while True:
             await asyncio.sleep(snapshot_period)
             state = _snapshot_state(core, clock())
-            if state is None:
-                return
             try:
                 tmp.write_text(json.dumps(state))
                 tmp.replace(target)
@@ -413,8 +406,7 @@ def run_replica_from_spec(spec: dict) -> dict:
         if metrics.timeseries is not None else None,
         "perf": metrics.perf.snapshot(),
         "trace": tracer.to_jsonable() if tracer is not None else None,
-        "recovery": core.recovery_summary()
-        if hasattr(core, "recovery_summary") else None,
+        "recovery": core.recovery_summary(),
         "snapshots_persisted": snapshots_persisted,
         "restored_from_disk": restored_from_disk,
     }
@@ -607,9 +599,7 @@ def run_live_processes(n: int = 4, client_count: int = 1,
             "in-process mode for warmup-windowed runs")
     faults = dict(faults or {})
     proto = get_protocol(protocol)
-    config = default_live_config_for(protocol, n,
-                                     payload_size=payload_size,
-                                     datablock_size=datablock_size)
+    config = proto.live_config(n, payload_size, datablock_size)
     if len(faults) > config.f:
         raise ConfigError(
             f"at most f={config.f} faulty replicas allowed")
@@ -624,7 +614,7 @@ def run_live_processes(n: int = 4, client_count: int = 1,
     metrics = MetricsCollector(warmup=warmup, timeseries=TimeSeries())
     per_client_rate = total_rate / client_count
     clients = [proto.make_client(n + index, config, per_client_rate,
-                                 bundle_size, False, 2.0)
+                                 bundle_size, client_timeout=2.0)
                for index in range(client_count)]
 
     chaos_events: list = []

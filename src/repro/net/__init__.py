@@ -21,14 +21,15 @@ behind real sockets —
 * :mod:`repro.net.chaos` — declarative chaos scenarios (scripted
   partition / heal / crash / restart / shape timelines) executable
   against either backend;
-* :mod:`repro.net.protocols` — the protocol registry: how to build
-  replica/client cores and smoke-scale configs for ``leopard``, ``pbft``
-  and ``hotstuff``, so every protocol the paper compares runs on this
-  one transport;
 * :mod:`repro.net.live` — :class:`LiveCluster` / :func:`run_live`, which
   boot a full localhost deployment (n replicas + load clients) of any
-  registered protocol and emit the same metrics schema as a simulated
-  run.  One OS process per replica instead: :mod:`repro.harness.procs`.
+  protocol and emit the same metrics schema as a simulated run.  One OS
+  process per replica instead: :mod:`repro.harness.procs`.
+
+Which cores and configs a deployment of ``leopard``, ``pbft`` or
+``hotstuff`` uses comes from one registry, :mod:`repro.protocols`, that
+the simulator builds from as well — so every protocol the paper compares
+is assembled the same way on this transport and on the modelled one.
 """
 
 from repro.net.chaos import (
@@ -41,12 +42,6 @@ from repro.net.chaos import (
 )
 from repro.net.live import LiveCluster, run_live, run_live_sync
 from repro.net.node import LiveNode
-from repro.net.protocols import (
-    LIVE_PROTOCOLS,
-    ProtocolSpec,
-    default_live_config_for,
-    get_protocol,
-)
 from repro.net.shaping import LinkPolicy, LinkShaper
 from repro.net.transport import Listener, PeerConnection, Router
 
@@ -54,17 +49,13 @@ __all__ = [
     "BUILTIN_SCENARIOS",
     "ChaosEvent",
     "ChaosScenario",
-    "LIVE_PROTOCOLS",
     "LinkPolicy",
     "LinkShaper",
     "Listener",
     "LiveCluster",
     "LiveNode",
     "PeerConnection",
-    "ProtocolSpec",
     "Router",
-    "default_live_config_for",
-    "get_protocol",
     "load_scenario",
     "run_live",
     "run_live_sync",

@@ -1,9 +1,9 @@
 """Boot a real localhost BFT deployment and measure it.
 
-:class:`LiveCluster` assembles what the simulator's cluster builders
-(:mod:`repro.harness.cluster`) assemble — replica cores plus a set of
-load-generating client cores for **any** of the three protocols
-(``leopard`` / ``pbft`` / ``hotstuff``, see :mod:`repro.net.protocols`) —
+:class:`LiveCluster` assembles what the simulator's
+:func:`repro.harness.cluster.build_cluster` assembles, from the same
+registry (:mod:`repro.protocols`) — replica cores plus a set of
+load-generating client cores for **any** of the three protocols —
 but hosts every core in a :class:`repro.net.node.LiveNode` behind its own
 TCP listener on ``127.0.0.1``.  Every message really is encoded by
 :mod:`repro.wire`, pushed through a socket, decoded and dispatched; no
@@ -24,25 +24,11 @@ from repro.errors import ConfigError
 from repro.faults import HONEST, FaultBehavior, fault_from_spec, fault_to_spec
 from repro.net.chaos import ChaosScenario, run_scenario_live
 from repro.net.node import LiveNode
-from repro.net.protocols import get_protocol
 from repro.net.shaping import LinkPolicy, LinkShaper
 from repro.net.transport import Router
 from repro.obs.timeseries import TimeSeries
+from repro.protocols import get_protocol
 from repro.stats import MetricsCollector, NicStats, standard_report
-
-
-def default_live_config(n: int, payload_size: int = 128,
-                        datablock_size: int = 100):
-    """A Leopard configuration tuned for a quick localhost cluster.
-
-    Smaller batches and tighter pacing timers than the paper-scale
-    defaults: a localhost smoke run should commit within a couple of
-    hundred milliseconds, not amortize 2000-request datablocks.
-    (Protocol-generic variant: :func:`repro.net.protocols.
-    default_live_config_for`.)
-    """
-    return get_protocol("leopard").default_config(
-        n, payload_size, datablock_size)
 
 
 def transport_summary(routers: list[Router]) -> dict:
@@ -111,7 +97,7 @@ class LiveCluster:
         self._spec = spec
         self.protocol = spec.name
         self.config = config if config is not None \
-            else spec.default_config(n, 128, 100)
+            else spec.live_config(n)
         if self.config.n != n:
             raise ConfigError(
                 "config.n must match the requested cluster size")
@@ -140,24 +126,21 @@ class LiveCluster:
         self.scenario_name: str | None = None
         self.address_book: dict[int, tuple[str, int]] = {}
         self.nodes: dict[int, LiveNode] = {}
-        self.replicas: list = []
         self.clients: list = []
         self._loop: asyncio.AbstractEventLoop | None = None
         self._epoch: float | None = None
         self._stopped_at: float | None = None
         self._sampler_task: asyncio.Task | None = None
 
-        for replica_id in range(n):
-            replica = spec.make_replica(replica_id, self.config,
-                                        self.context)
-            if hasattr(replica, "attach_perf"):
-                replica.attach_perf(self.metrics.perf)
-            self.replicas.append(replica)
+        self.replicas = [
+            spec.make_replica(replica_id, self.config, self.context,
+                              self.metrics.perf)
+            for replica_id in range(n)]
         per_client_rate = total_rate / client_count
         for index in range(client_count):
             self.clients.append(spec.make_client(
                 n + index, self.config, per_client_rate, bundle_size,
-                resubmit, client_timeout))
+                resubmit=resubmit, client_timeout=client_timeout))
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -252,11 +235,9 @@ class LiveCluster:
         address = self.address_book.get(replica_id)
         if address is None:
             raise ConfigError(f"replica {replica_id} was never started")
-        core = self._spec.make_replica(replica_id, self.config, self.context)
-        if hasattr(core, "attach_perf"):
-            core.attach_perf(self.metrics.perf)
-        if hasattr(core, "begin_recovery"):
-            core.begin_recovery()
+        core = self._spec.make_replica(replica_id, self.config, self.context,
+                                       self.metrics.perf)
+        core.begin_recovery()
         self.replicas[replica_id] = core
         router = Router(core.node_id, self.address_book, host=address[0],
                         port=address[1], shaper=self.shaper)

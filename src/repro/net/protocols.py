@@ -1,180 +1,9 @@
-"""Protocol registry for the live runtime: leopard / pbft / hotstuff.
+"""The live runtime's name for :func:`repro.protocols.default_live_config_for`.
 
-The live backend is protocol-generic: any sans-io
-:class:`repro.interfaces.ProtocolCore` runs under a
-:class:`repro.net.node.LiveNode`, so hosting a baseline is purely a
-construction problem — which replica core to build, which client core to
-aim at it, and which configuration keeps a localhost smoke run committing
-within milliseconds rather than amortizing paper-scale batches.  This
-module centralises that construction so that :class:`repro.net.live.
-LiveCluster` (in-process deployment) and :mod:`repro.harness.procs`
-(one OS process per replica) build byte-identical clusters from the same
-specs — a replica core built in a child process is indistinguishable from
-one built in the parent, because key material is re-dealt deterministically
-from the shared seed.
+The protocol registry serves both backends from :mod:`repro.protocols`;
+this entry point keeps the old import path working.
 """
 
-from __future__ import annotations
+from repro.protocols import default_live_config_for
 
-from dataclasses import dataclass
-from typing import Callable
-
-from repro.errors import ConfigError
-
-#: The protocols the live runtime can boot (`run-live --protocol ...`).
-LIVE_PROTOCOLS = ("leopard", "pbft", "hotstuff")
-
-
-@dataclass(frozen=True)
-class ProtocolSpec:
-    """How to assemble one protocol's live deployment.
-
-    Attributes:
-        name: protocol id (``leopard`` / ``pbft`` / ``hotstuff``).
-        default_config: ``(n, payload_size, datablock_size) -> config`` —
-            a smoke-scale configuration (small batches, tight timers).
-        make_context: ``(config, seed) -> object | None`` — shared
-            material every replica needs (Leopard's dealt key registry);
-            deterministic in ``seed`` so separate OS processes rebuild
-            identical contexts independently.
-        make_replica: ``(replica_id, config, context) -> core``.
-        make_client: ``(client_id, config, rate, bundle_size, resubmit,
-            client_timeout) -> core`` — the load generator aimed the way
-            the protocol expects (Leopard spreads over non-leader
-            replicas, the leader-based baselines submit to the leader).
-    """
-
-    name: str
-    default_config: Callable
-    make_context: Callable
-    make_replica: Callable
-    make_client: Callable
-
-
-def _leopard_config(n: int, payload_size: int, datablock_size: int):
-    from repro.core.config import LeopardConfig
-
-    return LeopardConfig(
-        n=n,
-        payload_size=payload_size,
-        datablock_size=datablock_size,
-        bftblock_max_links=10,
-        generation_interval=0.005,
-        max_batch_delay=0.05,
-        proposal_interval=0.01,
-        max_proposal_delay=0.05,
-        retrieval_timeout=0.2,
-        checkpoint_period=20,
-        progress_timeout=2.0,
-    )
-
-
-def _leopard_context(config, seed: int):
-    from repro.crypto.keys import KeyRegistry
-
-    return KeyRegistry(config.n, config.f, seed=seed)
-
-
-def _leopard_replica(replica_id: int, config, context):
-    from repro.core.replica import LeopardReplica
-
-    return LeopardReplica(replica_id, config, context)
-
-
-def _leopard_client(client_id: int, config, rate: float, bundle_size: int,
-                    resubmit: bool, client_timeout: float):
-    from repro.core.client import LeopardClient
-
-    return LeopardClient(client_id, config, rate=rate,
-                         bundle_size=bundle_size, resubmit=resubmit,
-                         client_timeout=client_timeout)
-
-
-def _pbft_config(n: int, payload_size: int, datablock_size: int):
-    from repro.baselines.pbft.config import PbftConfig
-
-    # datablock_size (Leopard's alpha) doubles as the batch size so one
-    # --datablock-size knob tunes every protocol's batching at the CLI.
-    return PbftConfig(n=n, payload_size=payload_size,
-                      batch_size=datablock_size, window=20,
-                      proposal_interval=0.005)
-
-
-def _pbft_replica(replica_id: int, config, context):
-    from repro.baselines.pbft.replica import PbftReplica
-
-    return PbftReplica(replica_id, config)
-
-
-def _hotstuff_config(n: int, payload_size: int, datablock_size: int):
-    from repro.baselines.hotstuff.config import HotStuffConfig
-
-    return HotStuffConfig(n=n, payload_size=payload_size,
-                          batch_size=datablock_size,
-                          idle_repropose_delay=0.005,
-                          progress_timeout=2.0)
-
-
-def _hotstuff_replica(replica_id: int, config, context):
-    from repro.baselines.hotstuff.replica import HotStuffReplica
-
-    return HotStuffReplica(replica_id, config)
-
-
-def _no_context(config, seed: int):
-    return None
-
-
-def _baseline_client(client_id: int, config, rate: float, bundle_size: int,
-                     resubmit: bool, client_timeout: float):
-    from repro.baselines.client import BaselineClient
-
-    return BaselineClient(client_id, target=config.leader_of(1), rate=rate,
-                          payload_size=config.payload_size,
-                          bundle_size=bundle_size)
-
-
-_SPECS: dict[str, ProtocolSpec] = {
-    "leopard": ProtocolSpec(
-        name="leopard",
-        default_config=_leopard_config,
-        make_context=_leopard_context,
-        make_replica=_leopard_replica,
-        make_client=_leopard_client,
-    ),
-    "pbft": ProtocolSpec(
-        name="pbft",
-        default_config=_pbft_config,
-        make_context=_no_context,
-        make_replica=_pbft_replica,
-        make_client=_baseline_client,
-    ),
-    "hotstuff": ProtocolSpec(
-        name="hotstuff",
-        default_config=_hotstuff_config,
-        make_context=_no_context,
-        make_replica=_hotstuff_replica,
-        make_client=_baseline_client,
-    ),
-}
-
-
-def get_protocol(name: str) -> ProtocolSpec:
-    """The :class:`ProtocolSpec` registered under ``name``.
-
-    Raises:
-        ConfigError: for a protocol the live runtime cannot boot.
-    """
-    spec = _SPECS.get(name)
-    if spec is None:
-        raise ConfigError(
-            f"unknown live protocol {name!r}; "
-            f"available: {', '.join(sorted(_SPECS))}")
-    return spec
-
-
-def default_live_config_for(protocol: str, n: int, payload_size: int = 128,
-                            datablock_size: int = 100):
-    """A smoke-scale live configuration for ``protocol`` at size ``n``."""
-    return get_protocol(protocol).default_config(
-        n, payload_size, datablock_size)
+__all__ = ["default_live_config_for"]

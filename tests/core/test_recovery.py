@@ -26,6 +26,8 @@ from repro.messages.recovery import (
     StateRequest,
     StateSnapshot,
 )
+from repro.perf.counters import PerfCounters
+from repro.protocols import PROTOCOLS, get_protocol
 
 
 def entry(sn: int) -> SegmentEntry:
@@ -370,3 +372,34 @@ class TestConvergence:
 
         with pytest.raises(AssertionError, match="no recovery section"):
             assert_replica_converged({}, 3)
+
+
+class TestRecoveryHost:
+    """The glue every replica core shares, driven through the registry."""
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_restore_then_summarize(self, protocol):
+        spec = get_protocol(protocol)
+        config = spec.live_config(4)
+        core = spec.make_replica(0, config, spec.make_context(config, 0),
+                                 PerfCounters())
+        assert core.restore_entries([entry(sn) for sn in range(1, 9)]) == 8
+        summary = core.recovery_summary()
+        assert summary["last_executed"] == 8
+        assert summary["exec_tail"][-1] == (8, entry(8).digest.hex())
+        assert summary["rounds"] == 0
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_begin_recovery_solicits_on_the_next_start_only(self,
+                                                            protocol):
+        spec = get_protocol(protocol)
+        config = spec.live_config(4)
+        core = spec.make_replica(1, config, spec.make_context(config, 0),
+                                 PerfCounters())
+        core.begin_recovery()
+        solicits = [e for e in core.start(0.0) if isinstance(e, Broadcast)
+                    and e.msg == StateRequest(0, 0)]
+        assert len(solicits) == 1
+        assert not any(isinstance(e, Broadcast)
+                       and isinstance(e.msg, StateRequest)
+                       for e in core.start(1.0))

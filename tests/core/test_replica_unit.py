@@ -9,6 +9,7 @@ from repro.core.replica import LeopardReplica
 from repro.interfaces import Broadcast, Send, SetTimer
 from repro.messages.client import RequestBundle
 from repro.messages.leopard import BFTblock, Datablock, Vote
+from repro.messages.recovery import SegmentEntry
 from tests.support import InstantLoop
 
 
@@ -382,3 +383,18 @@ class TestGenerationWakeups:
             replica.on_message(100, bundle(7, at=0.0), 0.001), "gen")
         effects = replica.start(0.002)
         assert timer_delays(effects, "gen") == [0.02 - 0.002]
+
+
+class TestRestoreFromDisk:
+    def test_restored_prefix_moves_the_watermark_and_next_sn(
+            self, config4, registry4):
+        # A respawned process reloads its durable snapshot before boot.
+        # The restored prefix counts as executed, so agreement resumes
+        # above it rather than waiting for a peer's checkpoint.
+        replica = LeopardReplica(0, config4, registry4)
+        entries = [SegmentEntry(sn, sn.to_bytes(32, "big"), 10)
+                   for sn in range(1, 13)]
+        assert replica.restore_entries(entries) == 12
+        assert replica.ledger.last_executed == 12
+        assert replica.next_sn == 13
+        assert replica.store.low_watermark == 12

@@ -7,12 +7,13 @@ import pytest
 from repro.core.config import LeopardConfig
 from repro.errors import ConfigError
 from repro.harness import (
-    build_hotstuff_cluster,
+    build_cluster,
     build_leopard_cluster,
     build_pbft_cluster,
     throttle_all_replicas,
 )
 from repro.faults import Crash
+from repro.protocols import PROTOCOLS
 
 
 class TestLeopardBuilder:
@@ -49,7 +50,7 @@ class TestLeopardBuilder:
 
 class TestBaselineBuilders:
     def test_hotstuff_clients_target_leader(self):
-        cluster = build_hotstuff_cluster(n=4)
+        cluster = build_cluster("hotstuff", 4)
         assert all(c.target == cluster.leader for c in cluster.clients)
 
     def test_pbft_builder_runs(self):
@@ -58,8 +59,8 @@ class TestBaselineBuilders:
         assert cluster.replicas[0].executed_sn >= 0
 
     def test_default_rate_scales_down_with_n(self):
-        small = build_hotstuff_cluster(n=4)
-        large = build_hotstuff_cluster(n=16)
+        small = build_cluster("hotstuff", 4)
+        large = build_cluster("hotstuff", 16)
         small_rate = sum(c.rate for c in small.clients)
         large_rate = sum(c.rate for c in large.clients)
         assert small_rate > large_rate
@@ -81,12 +82,39 @@ class TestMeasurement:
         assert cluster.measurement_window() == pytest.approx(2.0)
 
 
+class TestOneBuilder:
+    """Every protocol is built by one builder from one registry."""
+
+    @pytest.mark.parametrize("protocol", ("pbft", "hotstuff"))
+    def test_baselines_reject_more_than_f_faults(self, protocol):
+        with pytest.raises(ConfigError, match="at most f=1"):
+            build_cluster(protocol, 4, faults={1: Crash(), 2: Crash()})
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_sim_and_live_build_the_same_replica_cores(self, protocol):
+        from repro.net.live import LiveCluster
+        from repro.protocols import default_live_config_for
+
+        config = default_live_config_for(protocol, 4)
+        sim = build_cluster(protocol, 4, seed=5, config=config,
+                            warmup=0.0)
+        live = LiveCluster(4, protocol=protocol, config=config, seed=5)
+        for built, hosted in zip(sim.replicas, live.replicas, strict=True):
+            assert type(built) is type(hosted)
+            assert built.config == hosted.config
+        if protocol == "leopard":
+            assert sim.context.scheme.public_key \
+                == live.context.scheme.public_key
+            for built, hosted in zip(sim.replicas, live.replicas):
+                assert built.signer.secret == hosted.signer.secret
+
+
 class TestSimChaos:
     """Scripted chaos on the simulated backend (ISSUE 6 tentpole)."""
 
-    def _cluster(self, **kwargs):
-        return build_leopard_cluster(n=4, total_rate=4000.0,
-                                     warmup=0.25, **kwargs)
+    def _cluster(self, protocol="leopard", **kwargs):
+        return build_cluster(protocol, 4, total_rate=4000.0, warmup=0.25,
+                             **kwargs)
 
     def test_crash_restart_scenario_still_commits(self):
         from repro.net.chaos import load_scenario, schedule_scenario_sim
@@ -106,13 +134,14 @@ class TestSimChaos:
         assert faults["restarts"] == 1
         assert faults["shaping"] is None  # live-only section
 
-    def test_crash_recover_scenario_catches_up_on_sim(self):
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_crash_recover_scenario_catches_up_on_sim(self, protocol):
         """Tentpole: recovery traffic rides the modelled NICs — the
         restarted simulated replica must re-converge with the quorum."""
         from repro.core.recovery import assert_replica_converged
         from repro.net.chaos import load_scenario, schedule_scenario_sim
 
-        cluster = self._cluster()
+        cluster = self._cluster(protocol)
         resolved = schedule_scenario_sim(
             cluster, load_scenario("crash-recover"))
         victim = resolved.events[0].args["node"]

@@ -18,7 +18,7 @@ from repro.messages.hotstuff import HSBlock, HSNewView, HSVote, QuorumCert
 from repro.messages.leopard import BundleSpan
 from repro.messages.pbft import Commit, Prepare, PrePrepare
 from repro.net import LiveCluster
-from repro.net.protocols import default_live_config_for, get_protocol
+from repro.protocols import default_live_config_for, get_protocol
 from repro.net.transport import Listener
 from repro.sim.network import NicStats
 from repro.wire import codec

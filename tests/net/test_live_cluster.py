@@ -14,7 +14,8 @@ import pytest
 
 from repro.harness.cluster import build_leopard_cluster
 from repro.net import LiveCluster
-from repro.net.live import default_live_config, run_live
+from repro.net.live import run_live
+from repro.protocols import default_live_config_for
 
 
 def run(coro):
@@ -237,7 +238,7 @@ class TestBootFailureTeardown:
 
 class TestLiveConfig:
     def test_default_config_valid_at_smoke_scale(self):
-        config = default_live_config(4)
+        config = default_live_config_for("leopard", 4)
         assert config.n == 4
         assert config.f == 1
         assert config.quorum == 3
@@ -245,4 +246,4 @@ class TestLiveConfig:
     def test_mismatched_config_rejected(self):
         from repro.errors import ConfigError
         with pytest.raises(ConfigError):
-            LiveCluster(7, config=default_live_config(4))
+            LiveCluster(7, config=default_live_config_for("leopard", 4))

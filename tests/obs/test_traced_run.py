@@ -13,7 +13,7 @@ import json
 
 from repro.harness.cluster import build_leopard_cluster
 from repro.net.chaos import load_scenario, schedule_scenario_sim
-from repro.net.protocols import default_live_config_for
+from repro.protocols import default_live_config_for
 from repro.obs import (
     RingTracer,
     TracedCore,
@@ -26,8 +26,8 @@ from repro.obs import (
 def _smoke_cluster(rate: float = 1000.0):
     config = default_live_config_for("leopard", 4)
     return build_leopard_cluster(
-        4, seed=3, config=config, total_rate=rate,
-        clients_per_replica=1, bundle_size=100, warmup=0.0, prime=False)
+        4, seed=3, config=config, total_rate=rate, bundle_size=100,
+        warmup=0.0, prime=False)
 
 
 class TestTracedSimRun:
