@@ -85,7 +85,7 @@ def main() -> None:
     print(f"         requests executed since the new view: "
           f"{measure.total_executed - before:,} — confirmation resumed\n")
 
-    logs = [[e.block_digest for e in r.ledger.log] for r in honest]
+    logs = [[e.digest for e in r.ledger.log] for r in honest]
     shortest = min(len(log) for log in logs)
     assert all(log[:shortest] == logs[0][:shortest] for log in logs)
     print("honest logs agree across the attack and the view-change —")

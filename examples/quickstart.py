@@ -40,13 +40,13 @@ def main() -> None:
     for replica in cluster.replicas:
         role = "leader " if replica.is_leader else "replica"
         prefix = " ".join(
-            entry.block_digest.hex()[:8]
-            for entry in replica.ledger.log[:5])
+            entry.digest.hex()[:8]
+            for entry in list(replica.ledger.log)[:5])
         print(f"  {role} {replica.node_id}: {prefix} "
               f"({len(replica.ledger.log)} blocks, "
               f"{replica.total_executed:,} requests executed)")
 
-    logs = [[e.block_digest for e in r.ledger.log]
+    logs = [[e.digest for e in r.ledger.log]
             for r in cluster.replicas]
     shortest = min(len(log) for log in logs)
     assert all(log[:shortest] == logs[0][:shortest] for log in logs), \

@@ -70,7 +70,7 @@ def main() -> None:
               f"{replica.total_executed:8,} events{note}")
 
     honest = [r for r in cluster.replicas if r.node_id != faulty]
-    logs = [[e.block_digest for e in r.ledger.log] for r in honest]
+    logs = [[e.digest for e in r.ledger.log] for r in honest]
     shortest = min(len(log) for log in logs)
     assert all(log[:shortest] == logs[0][:shortest] for log in logs)
     print("\nevery honest organization holds the same ledger prefix; the")

@@ -21,6 +21,7 @@ class HotStuffConfig:
         idle_repropose_delay: when the mempool is empty at QC time, retry
             proposing after this long.
         progress_timeout: pacemaker timeout for leader rotation.
+        quorum: 2f + 1 votes form a quorum certificate (derived).
     """
 
     n: int
@@ -39,11 +40,7 @@ class HotStuffConfig:
             raise ConfigError(f"n={self.n} cannot tolerate f={self.f}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-
-    @property
-    def quorum(self) -> int:
-        """2f + 1 votes form a quorum certificate."""
-        return 2 * self.f + 1
+        object.__setattr__(self, "quorum", 2 * self.f + 1)
 
     def leader_of(self, view: int) -> int:
         """Round-robin pacemaker."""

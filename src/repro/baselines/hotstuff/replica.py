@@ -36,6 +36,13 @@ from repro.messages.recovery import StateSnapshot
 
 GENESIS_DIGEST = sha_digest(b"hotstuff-genesis")
 
+#: Heights kept below the executed one.  Every read of ``blocks``,
+#: ``qcs`` and ``_votes`` is at a height above the executed one (the
+#: three-chain, proposals and votes all live above the QC tip, which is
+#: two above it); this margin only keeps the newest executed blocks on
+#: hand.  ``_digest_at`` answers older heights from ``exec_log``.
+KEEP_BELOW_EXECUTED = 8
+
 
 class HotStuffReplica(RecoveryHost):
     """One chained-HotStuff replica (leader or follower by view)."""
@@ -45,12 +52,14 @@ class HotStuffReplica(RecoveryHost):
         self.config = config
         self.view = 1
         self.mempool = Mempool()
-        #: height -> block
+        #: height -> block, for heights above ``_forgotten``.
         self.blocks: dict[int, HSBlock] = {}
-        #: height -> QC
+        #: height -> QC, for genesis and heights above ``_forgotten``.
         self.qcs: dict[int, QuorumCert] = {0: QuorumCert(
             GENESIS_DIGEST, 0, config.quorum)}
         self._votes: dict[int, set[int]] = {}
+        #: Every height at or below this one (genesis aside) is pruned.
+        self._forgotten = 0
         self._proposed_height = 0
         self._qc_height = 0
         self.committed_height = 0
@@ -228,7 +237,10 @@ class HotStuffReplica(RecoveryHost):
     def _accept_block(self, block: HSBlock, now: float, vote: bool = False
                       ) -> list[Effect]:
         height = block.height
-        if height in self.blocks or height <= self.executed_height:
+        if height <= self.executed_height:
+            return []
+        superseded = self.blocks.get(height)
+        if superseded is not None and height <= self._qc_height:
             return []
         if height > 1:
             parent_digest = self._digest_at(height - 1)
@@ -248,8 +260,17 @@ class HotStuffReplica(RecoveryHost):
                     return self._defer_block(block, vote, now)
                 if justify.block_digest != expected:
                     return []
-            self.qcs.setdefault(justify.height, justify)
+            if justify.height > self._forgotten:
+                self.qcs.setdefault(justify.height, justify)
             self._qc_height = max(self._qc_height, justify.height)
+        if superseded is not None:
+            # Only a later view's leader proposes a height twice: the
+            # earlier proposal never certified (its votes went to the old
+            # leader), so it and everything above it are abandoned, with
+            # any votes collected for them, and this one is voted for.
+            for table in (self.blocks, self._votes):
+                for stale in [h for h in table if h >= height]:
+                    del table[stale]
         self.blocks[height] = block
         effects = self._advance_commit(now)
         if vote:
@@ -293,7 +314,23 @@ class HotStuffReplica(RecoveryHost):
             effects.append(Executed(executed,
                                     info=tuple(executed_heights)))
             effects.extend(acks)
+        self._forget_through(self.executed_height - KEEP_BELOW_EXECUTED)
         return effects
+
+    def _forget_through(self, height: int) -> None:
+        """Prune every height in ``(0, height]`` from the three tables.
+
+        Runs right after a commit, when the QC tip is at least two above
+        the executed height, so none of them is read again: a late vote
+        finds no block, a re-sent block is already executed, and a
+        justify that low never re-enters ``qcs``.
+        """
+        if height <= self._forgotten:
+            return
+        self._forgotten = height
+        for table in (self.blocks, self.qcs, self._votes):
+            for stale in [h for h in table if 0 < h <= height]:
+                del table[stale]
 
     # ------------------------------------------------------------------
     # Pacemaker (minimal round-robin rotation)
@@ -310,9 +347,15 @@ class HotStuffReplica(RecoveryHost):
             high = self.qcs.get(self._qc_height)
             effects.append(Broadcast(HSNewView(self.view, high)))
             if self.is_leader:
-                effects.extend(self._maybe_propose(now))
+                effects.extend(self._lead_view(now))
         self._last_commit_marker = self.committed_height
         return effects
+
+    def _lead_view(self, now: float) -> list[Effect]:
+        """Take up a new view's leadership: propose on top of the highest
+        QC, since nothing proposed above it in an earlier view certified."""
+        self._proposed_height = self._qc_height
+        return self._maybe_propose(now)
 
     def _on_new_view(self, sender: int, msg: HSNewView, now: float
                      ) -> list[Effect]:
@@ -324,7 +367,5 @@ class HotStuffReplica(RecoveryHost):
             self.qcs.setdefault(msg.high_qc.height, msg.high_qc)
             self._qc_height = msg.high_qc.height
         if self.is_leader:
-            self._proposed_height = max(
-                self._proposed_height, self._qc_height)
-            return self._maybe_propose(now)
+            return self._lead_view(now)
         return []

@@ -19,6 +19,8 @@ class PbftConfig:
         batch_size: requests per pre-prepare batch.
         window: parallel-instance watermark window (PBFT's k).
         proposal_interval: leader proposal tick.
+        quorum: 2f + 1 matching votes complete a phase (derived; read
+            once per vote, so it is stored, not recomputed).
     """
 
     n: int
@@ -39,11 +41,7 @@ class PbftConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.window < 1:
             raise ConfigError("window must be >= 1")
-
-    @property
-    def quorum(self) -> int:
-        """2f + 1 matching votes complete a phase."""
-        return 2 * self.f + 1
+        object.__setattr__(self, "quorum", 2 * self.f + 1)
 
     def leader_of(self, view: int) -> int:
         """Round-robin leader assignment."""

@@ -111,10 +111,8 @@ class PbftReplica(RecoveryHost):
             if sender != self.current_leader or msg.view != self.view:
                 return []
             return self._admit(msg, now)
-        if isinstance(msg, Prepare):
-            return self._on_prepare(sender, msg, now)
-        if isinstance(msg, Commit):
-            return self._on_commit(sender, msg, now)
+        if isinstance(msg, (Prepare, Commit)):
+            return self._on_vote(sender, msg, now)
         if isinstance(msg, RECOVERY_MESSAGES):
             return self._on_recovery_msg(sender, msg, now)
         return []
@@ -148,13 +146,15 @@ class PbftReplica(RecoveryHost):
         prepare = Prepare(self.view, block.sn, block.digest(), self.node_id)
         instance.prepares.add(self.node_id)
         effects: list[Effect] = [Broadcast(prepare)]
-        for sender, vote in self._early_votes.pop(block.sn, []):
-            effects.extend(self.on_message(sender, vote, now))
-        effects.extend(self._check_progress(instance, now))
+        for sender, vote in self._early_votes.pop(block.sn, ()):
+            effects.extend(self._on_vote(sender, vote, now))
+        if not instance.prepared \
+                and len(instance.prepares) >= self.config.quorum:
+            effects.extend(self._check_progress(instance, now))  # f = 0
         return effects
 
-    def _on_prepare(self, sender: int, msg: Prepare, now: float
-                    ) -> list[Effect]:
+    def _on_vote(self, sender: int, msg: Prepare | Commit, now: float
+                 ) -> list[Effect]:
         instance = self.instances.get(msg.sn)
         if instance is None:
             self._buffer_early(sender, msg)
@@ -163,20 +163,16 @@ class PbftReplica(RecoveryHost):
             return []
         if msg.block_digest != instance.block.digest():
             return []
-        instance.prepares.add(sender)
-        return self._check_progress(instance, now)
-
-    def _on_commit(self, sender: int, msg: Commit, now: float
-                   ) -> list[Effect]:
-        instance = self.instances.get(msg.sn)
-        if instance is None:
-            self._buffer_early(sender, msg)
+        if isinstance(msg, Prepare):
+            votes, reached = instance.prepares, instance.prepared
+        else:
+            votes, reached = instance.commits, instance.committed
+        votes.add(sender)
+        # A count changes only here and in _admit / _check_progress (the
+        # replica's own votes, each checked at once), so a phase can only
+        # complete on the vote that reaches its quorum.
+        if reached or len(votes) < self.config.quorum:
             return []
-        if msg.view != self.view:
-            return []
-        if msg.block_digest != instance.block.digest():
-            return []
-        instance.commits.add(sender)
         return self._check_progress(instance, now)
 
     def _check_progress(self, instance: _Instance, now: float

@@ -218,9 +218,13 @@ class VoteAggregator:
         self._payloads: dict[tuple[int, bytes], bytes] = {}
         self._elements: dict[tuple[int, bytes], int] = {}
         self._combined: set[tuple[int, bytes]] = set()
+        #: Serial number of every bucket above, for :meth:`forget_through`.
+        self._sns: dict[tuple[int, bytes], int] = {}
 
-    def add_vote(self, sender: int, vote: Vote) -> ThresholdSignature | None:
-        """Record one vote; returns the combined proof on quorum.
+    def add_vote(self, sender: int, vote: Vote, sn: int = 0
+                 ) -> ThresholdSignature | None:
+        """Record one vote for the block at serial number ``sn``; returns
+        the combined proof on quorum.
 
         Invalid shares (wrong signer, bad value, forged payload) are
         dropped silently, as an honest leader would drop them.
@@ -244,6 +248,7 @@ class VoteAggregator:
         # bucket and block honest quorum formation.
         self._payloads.setdefault(key, vote.signed_payload)
         self._elements.setdefault(key, element)
+        self._sns.setdefault(key, sn)
         bucket = self._shares.setdefault(key, {})
         bucket[sender] = vote.share
         if len(bucket) < self.scheme.threshold:
@@ -261,6 +266,17 @@ class VoteAggregator:
         # pinned payload is no longer needed.
         self._payloads.pop(key, None)
         return combined
+
+    def forget_through(self, sn: int) -> None:
+        """Drop every bucket for serial numbers ``<= sn`` (a stable
+        checkpoint's; the replica no longer routes votes for them here)."""
+        stale = [key for key, key_sn in self._sns.items() if key_sn <= sn]
+        for key in stale:
+            del self._sns[key]
+            self._combined.discard(key)
+            self._shares.pop(key, None)
+            self._payloads.pop(key, None)
+            self._elements.pop(key, None)
 
     def pending_votes(self, round_: int, block_digest: bytes) -> int:
         """How many valid shares collected so far (diagnostics)."""

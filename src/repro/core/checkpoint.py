@@ -96,4 +96,6 @@ class CheckpointManager:
         for key in stale:
             del self._shares[key]
             self._elements.pop(key, None)
+        # on_share already refuses every sn <= stable_sn.
+        self._issued = {key for key in self._issued if key[0] > proof.sn}
         return True

@@ -60,6 +60,8 @@ class LeopardConfig:
         progress_timeout: view-change trigger — max time without
             confirmation progress while work is pending.
         trace_phases: emit latency-phase traces (Table IV) when True.
+        quorum: 2f + 1 — votes needed for notarization, confirmation and
+            readiness (derived).
     """
 
     n: int
@@ -101,11 +103,7 @@ class LeopardConfig:
         if self.retrieval_mode not in ("erasure", "full", "leader"):
             raise ConfigError(
                 f"unknown retrieval mode {self.retrieval_mode!r}")
-
-    @property
-    def quorum(self) -> int:
-        """2f + 1: votes needed for notarization/confirmation/readiness."""
-        return 2 * self.f + 1
+        object.__setattr__(self, "quorum", 2 * self.f + 1)
 
     def leader_of(self, view: int) -> int:
         """Round-robin leader election: the (v mod n)-th replica."""

@@ -12,8 +12,9 @@ BFTblocks may link from.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 
+from repro.core.watermark import SeenIds
 from repro.messages.leopard import Datablock
 
 
@@ -22,7 +23,8 @@ class DatablockPool:
 
     def __init__(self) -> None:
         self._by_digest: dict[bytes, Datablock] = {}
-        self._seen_counters: dict[int, set[int]] = {}
+        #: creator -> the counters seen from that creator.
+        self._seen_counters: defaultdict[int, SeenIds] = defaultdict(SeenIds)
         self.rejected_duplicates = 0
 
     def __len__(self) -> int:
@@ -42,13 +44,11 @@ class DatablockPool:
             True when accepted; False for counter replays (Algorithm 1,
             line 14) or exact duplicates.
         """
-        seen = self._seen_counters.setdefault(datablock.creator, set())
-        if datablock.counter in seen:
+        if not self._seen_counters[datablock.creator].add(datablock.counter):
             # Any counter replay — equivocation or exact-duplicate flood —
             # counts as a rejection (Algorithm 1, line 14).
             self.rejected_duplicates += 1
             return False
-        seen.add(datablock.counter)
         self._by_digest[datablock.digest()] = datablock
         return True
 
@@ -63,8 +63,7 @@ class DatablockPool:
         if block_digest in self._by_digest:
             return False
         self._by_digest[block_digest] = datablock
-        self._seen_counters.setdefault(
-            datablock.creator, set()).add(datablock.counter)
+        self._seen_counters[datablock.creator].add(datablock.counter)
         return True
 
     def remove(self, block_digest: bytes) -> None:
@@ -87,32 +86,59 @@ class ReadyTracker:
 
     def __init__(self, quorum: int) -> None:
         self.quorum = quorum
+        #: Readies and holdings of datablocks not yet promoted: a block is
+        #: promoted at most once, so both are dropped when it is.
         self._ready_from: dict[bytes, set[int]] = {}
         self._held: set[bytes] = set()
         self._queue: deque[bytes] = deque()
         self._queued: set[bytes] = set()
         self._consumed: set[bytes] = set()
+        #: Linked here and dropped at the last stable checkpoint: a Ready
+        #: still in flight for one of these is ignored, not recounted.
+        self._retired: set[bytes] = set()
+
+    def _promoted(self, block_digest: bytes) -> bool:
+        return (block_digest in self._queued
+                or block_digest in self._consumed
+                or block_digest in self._retired)
 
     def _maybe_promote(self, block_digest: bytes) -> bool:
-        if block_digest in self._queued or block_digest in self._consumed:
-            return False
         if block_digest not in self._held:
             return False
         if len(self._ready_from.get(block_digest, ())) < self.quorum:
             return False
         self._queue.append(block_digest)
         self._queued.add(block_digest)
+        del self._ready_from[block_digest]
+        self._held.remove(block_digest)
         return True
 
     def record_ready(self, block_digest: bytes, replica: int) -> bool:
         """Count one Ready; returns True when the block becomes linkable."""
+        if self._promoted(block_digest):
+            return False
         self._ready_from.setdefault(block_digest, set()).add(replica)
         return self._maybe_promote(block_digest)
 
     def mark_held(self, block_digest: bytes) -> bool:
         """Note that the leader's own pool holds this datablock."""
+        if self._promoted(block_digest):
+            return False
         self._held.add(block_digest)
         return self._maybe_promote(block_digest)
+
+    def forget(self, block_digests) -> None:
+        """Drop datablocks a stable checkpoint covers (``block_digests``:
+        the links :meth:`repro.core.ledger.Ledger.collect_garbage`
+        removed).  Those linked here stay retired until the next call."""
+        retired: set[bytes] = set()
+        for block_digest in block_digests:
+            self._ready_from.pop(block_digest, None)
+            self._held.discard(block_digest)
+            if block_digest in self._consumed:
+                self._consumed.remove(block_digest)
+                retired.add(block_digest)
+        self._retired = retired
 
     @property
     def ready_count(self) -> int:
@@ -138,5 +164,6 @@ class ReadyTracker:
                 self._queued.add(block_digest)
 
     def ready_replicas(self, block_digest: bytes) -> set[int]:
-        """Which replicas acked a datablock (test/diagnostic helper)."""
+        """Which replicas acked a datablock not yet promoted
+        (test/diagnostic helper)."""
         return set(self._ready_from.get(block_digest, set()))

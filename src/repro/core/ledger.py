@@ -12,12 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.datablock_pool import DatablockPool
+from repro.core.recovery import ExecutionLog
 from repro.messages.leopard import BFTblock, BundleSpan
 
 
 @dataclass(frozen=True)
 class ExecutedBlock:
-    """One executed log position (what safety compares across replicas)."""
+    """One position an execution sweep applied, with the links the
+    replica still needs (acks, garbage collection)."""
 
     sn: int
     block_digest: bytes
@@ -35,16 +37,32 @@ class ExecutionResult:
 
 
 class Ledger:
-    """Confirmed-block storage plus the execution cursor."""
+    """Confirmed-block storage plus the execution cursor.
+
+    The executed prefix is ``history``, an
+    :class:`~repro.core.recovery.ExecutionLog` — the bounded tail the
+    baselines keep too — which serves recovery and the checkpoint state
+    digest ``H(st)``.
+    """
 
     def __init__(self, pool: DatablockPool, replica_id: int) -> None:
         self._pool = pool
         self._replica_id = replica_id
         self._confirmed: dict[int, BFTblock] = {}
-        self.last_executed = 0
-        self.log: list[ExecutedBlock] = []
+        self.history = ExecutionLog()
         #: sn -> links, retained for checkpoint-time garbage collection.
         self._executed_links: dict[int, tuple[bytes, ...]] = {}
+
+    @property
+    def last_executed(self) -> int:
+        """The executed-prefix tip."""
+        return self.history.last_executed
+
+    @property
+    def log(self):
+        """The retained executed positions (``SegmentEntry``), oldest
+        first, at most :data:`ExecutionLog.TAIL_LIMIT` of them."""
+        return self.history.entries
 
     def confirm(self, block: BFTblock) -> bool:
         """Record a confirmed BFTblock; idempotent per serial number."""
@@ -93,7 +111,7 @@ class Ledger:
             request_count = sum(db.request_count for db in datablocks)
             entry = ExecutedBlock(
                 next_sn, block.digest(), block.links, request_count)
-            self.log.append(entry)
+            self.history.append(next_sn, entry.block_digest, request_count)
             self._executed_links[next_sn] = block.links
             result.blocks.append(entry)
             result.executed_requests += request_count
@@ -101,19 +119,7 @@ class Ledger:
                 if datablock.creator == self._replica_id:
                     result.acked_spans.extend(datablock.spans)
             del self._confirmed[next_sn]
-            self.last_executed = next_sn
         return result
-
-    def entries_between(self, start: int, end: int):
-        """Executed positions with ``start < sn <= end`` (recovery serve).
-
-        Returns backend-neutral :class:`repro.messages.recovery.SegmentEntry`
-        projections of the executed log.
-        """
-        from repro.messages.recovery import SegmentEntry
-        return [SegmentEntry(entry.sn, entry.block_digest,
-                             entry.request_count)
-                for entry in self.log if start < entry.sn <= end]
 
     def install_entries(self, entries) -> int:
         """Install a verified transferred prefix (recovery catch-up).
@@ -124,41 +130,22 @@ class Ledger:
         Confirmed blocks at or below the new tip are dropped (already
         covered by the transfer).  Returns positions installed.
         """
-        installed = 0
-        for entry in entries:
-            if entry.sn <= self.last_executed:
-                continue
-            self.log.append(ExecutedBlock(
-                entry.sn, entry.digest, (), entry.request_count))
-            self.last_executed = entry.sn
-            self._confirmed.pop(entry.sn, None)
-            installed += 1
+        installed = self.history.install(entries)
         for sn in [sn for sn in self._confirmed
                    if sn <= self.last_executed]:
             del self._confirmed[sn]
         return installed
 
-    def tail(self, count: int = 32) -> list[tuple[int, str]]:
-        """Trailing ``(sn, digest_hex)`` pairs (convergence checking)."""
-        return [(entry.sn, entry.block_digest.hex())
-                for entry in self.log[-count:]]
-
-    def collect_garbage(self, checkpoint_sn: int) -> int:
+    def collect_garbage(self, checkpoint_sn: int) -> list[bytes]:
         """Drop datablocks linked by executed blocks ≤ ``checkpoint_sn``.
 
-        Returns the number of datablocks removed (Appendix A, garbage
-        collection after a stable checkpoint).
+        Returns the digests removed (Appendix A, garbage collection after
+        a stable checkpoint).
         """
-        removed = 0
+        removed: list[bytes] = []
         stale = [sn for sn in self._executed_links if sn <= checkpoint_sn]
         for sn in stale:
             for link in self._executed_links.pop(sn):
                 self._pool.remove(link)
-                removed += 1
+                removed.append(link)
         return removed
-
-    def state_digest(self) -> bytes:
-        """H(st): a digest of the executed log (checkpoint payload)."""
-        from repro.crypto.hashing import combine
-        return combine(*[entry.block_digest for entry in self.log[-64:]],
-                       self.last_executed.to_bytes(8, "big"))

@@ -8,9 +8,10 @@ simulation cost proportional to messages (DESIGN.md §5).
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 
+from repro.core.watermark import SeenIds
 from repro.messages.client import RequestBundle
 from repro.messages.leopard import BundleSpan
 
@@ -29,7 +30,8 @@ class Mempool:
     def __init__(self) -> None:
         self._spans: deque[_PendingSpan] = deque()
         self._total = 0
-        self._seen_bundles: set[tuple[int, int]] = set()
+        #: client id -> the bundle ids seen from that client.
+        self._seen_bundles: defaultdict[int, SeenIds] = defaultdict(SeenIds)
         self.duplicates_rejected = 0
 
     @property
@@ -48,11 +50,9 @@ class Mempool:
             True if accepted, False if it was a duplicate (same client and
             bundle id already buffered or packed by this replica).
         """
-        key = (bundle.client_id, bundle.bundle_id)
-        if key in self._seen_bundles:
+        if not self._seen_bundles[bundle.client_id].add(bundle.bundle_id):
             self.duplicates_rejected += 1
             return False
-        self._seen_bundles.add(key)
         self._spans.append(_PendingSpan(
             bundle.client_id, bundle.bundle_id, bundle.count,
             bundle.submitted_at))

@@ -41,6 +41,8 @@ transport moves real frames.
 from __future__ import annotations
 
 import random
+from collections import deque
+from itertools import islice
 from typing import Callable, Hashable
 
 from repro.interfaces import Broadcast, CancelTimer, Effect, Send, SetTimer
@@ -73,20 +75,21 @@ def _tail_digest(entries: list[SegmentEntry], tip: int) -> bytes:
 
 
 class ExecutionLog:
-    """Uniform executed-prefix record for the baseline protocols.
+    """Uniform executed-prefix record, shared by all three cores.
 
-    PBFT and HotStuff keep only scalar execution cursors; recovery needs
-    the per-position digests safety compares across replicas.  The log
-    retains a bounded tail (:data:`TAIL_LIMIT` entries) — enough to
-    serve any :data:`HISTORY_WINDOW` catch-up — and supports installing
-    a transferred prefix.
+    Recovery needs the per-position digests safety compares across
+    replicas; Leopard's :class:`~repro.core.ledger.Ledger` and the
+    baselines' scalar cursors both keep them here.  The log retains a
+    bounded tail (:data:`TAIL_LIMIT` entries) — enough to serve any
+    :data:`HISTORY_WINDOW` catch-up — evicting the oldest entry as each
+    new one lands, and supports installing a transferred prefix.
     """
 
     TAIL_LIMIT = 4096
 
     def __init__(self) -> None:
         self.last_executed = 0
-        self.entries: list[SegmentEntry] = []
+        self.entries: deque[SegmentEntry] = deque()
         self._digests: dict[int, bytes] = {}
 
     def append(self, sn: int, digest: bytes, request_count: int) -> None:
@@ -94,23 +97,18 @@ class ExecutionLog:
         self.entries.append(SegmentEntry(sn, digest, request_count))
         self._digests[sn] = digest
         self.last_executed = sn
-        self._trim()
+        while len(self.entries) > self.TAIL_LIMIT:
+            del self._digests[self.entries.popleft().sn]
 
-    def install(self, entries: list[SegmentEntry]) -> None:
-        """Install a transferred prefix ending above the current tip."""
+    def install(self, entries: list[SegmentEntry]) -> int:
+        """Install a transferred prefix ending above the current tip;
+        returns how many positions were new."""
+        installed = 0
         for entry in entries:
-            if entry.sn <= self.last_executed:
-                continue
-            self.entries.append(entry)
-            self._digests[entry.sn] = entry.digest
-            self.last_executed = entry.sn
-        self._trim()
-
-    def _trim(self) -> None:
-        if len(self.entries) > self.TAIL_LIMIT:
-            for stale in self.entries[:-self.TAIL_LIMIT]:
-                self._digests.pop(stale.sn, None)
-            self.entries = self.entries[-self.TAIL_LIMIT:]
+            if entry.sn > self.last_executed:
+                self.append(entry.sn, entry.digest, entry.request_count)
+                installed += 1
+        return installed
 
     def digest_of(self, sn: int) -> bytes | None:
         """The recorded digest at ``sn`` (``None`` outside the tail)."""
@@ -120,14 +118,17 @@ class ExecutionLog:
         """Retained entries with ``start < sn <= end``."""
         return [entry for entry in self.entries if start < entry.sn <= end]
 
+    def _last(self, count: int) -> list[SegmentEntry]:
+        return list(islice(reversed(self.entries), count))[::-1]
+
     def tail(self, count: int = 32) -> list[tuple[int, str]]:
         """The last ``count`` positions as ``(sn, digest_hex)`` pairs."""
-        return [(entry.sn, entry.digest.hex())
-                for entry in self.entries[-count:]]
+        return [(entry.sn, entry.digest.hex()) for entry in self._last(count)]
 
     def state_digest(self) -> bytes:
-        """Digest over the retained window (snapshot advertisement)."""
-        return _tail_digest(self.entries, self.last_executed)
+        """Digest over the retained window (snapshot advertisement and
+        Leopard's checkpoint ``H(st)``)."""
+        return _tail_digest(self._last(HISTORY_WINDOW), self.last_executed)
 
 
 class RecoveryManager:
@@ -135,8 +136,7 @@ class RecoveryManager:
 
     The manager is sans-io: it consumes recovery messages and timer
     firings and returns effects; the host replica supplies ledger access
-    through callables so the same machine drives Leopard's ``Ledger``
-    and the baselines' :class:`ExecutionLog`.
+    through callables (its :class:`ExecutionLog` and its own install).
 
     Args:
         replica_id: this replica.
@@ -473,10 +473,9 @@ RECOVERY_MESSAGES = (StateRequest, StateSnapshot, LedgerSegment)
 class RecoveryHost:
     """The crash-recovery glue every replica core shares (a mixin).
 
-    A core calls :meth:`_init_recovery` with its executed-prefix log —
-    Leopard's :class:`~repro.core.ledger.Ledger` or a baseline's
-    :class:`ExecutionLog`, anything with ``last_executed``,
-    ``entries_between`` and ``tail`` — sends :data:`RECOVERY_MESSAGES`
+    A core calls :meth:`_init_recovery` with its executed-prefix
+    :class:`ExecutionLog` (anything with ``last_executed``,
+    ``entries_between`` and ``tail``) — sends :data:`RECOVERY_MESSAGES`
     to :meth:`_on_recovery_msg` and ``("rcv", ...)`` timers to
     ``self.recovery``, and ends ``start()`` with
     :meth:`_catch_up_on_start`.  It supplies only what differs:

@@ -93,7 +93,8 @@ class LeopardReplica(RecoveryHost):
         self.ledger = Ledger(self.pool, replica_id)
         self.vc = ViewChangeManager(
             config.n, config.f, replica_id, registry, self.scheme)
-        self._init_recovery(self.ledger, self._verify_checkpoint_proof)
+        self._init_recovery(self.ledger.history,
+                            self._verify_checkpoint_proof)
 
         self.next_sn = 1
         self.datablock_counter = 1
@@ -222,7 +223,7 @@ class LeopardReplica(RecoveryHost):
 
     def _make_snapshot(self) -> StateSnapshot:
         return StateSnapshot(self.ledger.last_executed,
-                             self.ledger.state_digest(),
+                             self.ledger.history.state_digest(),
                              self.checkpoints.latest_proof)
 
     def _verify_checkpoint_proof(self, proof: CheckpointProof) -> bool:
@@ -461,27 +462,27 @@ class LeopardReplica(RecoveryHost):
         payload = block.digest()
         vote = Vote(ROUND_PREPARE, payload, payload,
                     self.signer.sign(payload))
-        return self._cast_vote(vote, now)
+        return self._cast_vote(instance, vote, now)
 
-    def _cast_vote(self, vote: Vote, now: float) -> list[Effect]:
+    def _cast_vote(self, instance, vote: Vote, now: float) -> list[Effect]:
         if not self.is_leader:
             return [Send(self.current_leader, vote)]
-        combined = self.aggregator.add_vote(self.node_id, vote)
-        if combined is None:
-            return []
-        return self._emit_proof(vote, combined, now)
+        return self._count_vote(instance, self.node_id, vote, now)
 
     def _on_vote(self, sender: int, vote: Vote, now: float) -> list[Effect]:
         if not self.is_leader or not self.normal_mode:
             return []
-        combined = self.aggregator.add_vote(sender, vote)
-        if combined is None:
-            return []
-        return self._emit_proof(vote, combined, now)
-
-    def _emit_proof(self, vote: Vote, combined, now: float) -> list[Effect]:
         instance = self.store.by_digest(vote.block_digest)
         if instance is None:
+            # No live instance (below the watermark, or replaced): a
+            # quorum could not produce a proof, so the vote is not kept.
+            return []
+        return self._count_vote(instance, sender, vote, now)
+
+    def _count_vote(self, instance, sender: int, vote: Vote, now: float
+                    ) -> list[Effect]:
+        combined = self.aggregator.add_vote(sender, vote, instance.sn)
+        if combined is None:
             return []
         prior = instance.notarization if vote.round == ROUND_COMMIT else None
         proof = Proof(vote.round, vote.block_digest, vote.signed_payload,
@@ -513,7 +514,7 @@ class LeopardReplica(RecoveryHost):
             payload2 = commit_payload(proof.signature)
             vote2 = Vote(ROUND_COMMIT, block.digest(), payload2,
                          self.signer.sign(payload2))
-            return self._cast_vote(vote2, now)
+            return self._cast_vote(instance, vote2, now)
         # Second round: confirmation.
         notarization = (instance.notarization
                         if instance.notarization is not None
@@ -584,7 +585,8 @@ class LeopardReplica(RecoveryHost):
         if not self.checkpoints.due(executed):
             return []
         share = self.checkpoints.make_share(
-            self.node_id, self.signer, executed, self.ledger.state_digest())
+            self.node_id, self.signer, executed,
+            self.ledger.history.state_digest())
         if not self.is_leader:
             return [Send(self.current_leader, share)]
         proof = self.checkpoints.on_share(self.node_id, share)
@@ -610,7 +612,8 @@ class LeopardReplica(RecoveryHost):
         if not self.checkpoints.on_proof(proof):
             return []
         self.store.advance_watermark(proof.sn)
-        self.ledger.collect_garbage(proof.sn)
+        self.aggregator.forget_through(proof.sn)
+        self.ready.forget(self.ledger.collect_garbage(proof.sn))
         if self.checkpoints.stable_sn > self.ledger.last_executed \
                 and not self.ledger.is_confirmed(
                     self.ledger.last_executed + 1):

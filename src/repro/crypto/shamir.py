@@ -12,6 +12,8 @@ well-known 256-bit prime.
 
 from __future__ import annotations
 
+import functools
+import math
 import random
 from dataclasses import dataclass
 
@@ -68,6 +70,10 @@ def split(secret: int, threshold: int, shares: int,
 def lagrange_coefficients_at_zero(xs: list[int]) -> list[int]:
     """Lagrange basis coefficients ``l_i(0)`` for interpolation points ``xs``.
 
+    The direct formula: O(t²) products and one modular inversion per
+    point.  Threshold combines use :func:`subset_coefficients_at_zero`;
+    the tests hold the two equal.
+
     Raises:
         ShamirError: if points are not distinct or include zero.
     """
@@ -86,6 +92,46 @@ def lagrange_coefficients_at_zero(xs: list[int]) -> list[int]:
         coefficients.append(
             (numerator * pow(denominator, -1, PRIME)) % PRIME)
     return coefficients
+
+
+@functools.lru_cache(maxsize=8)
+def _universe_weights(n: int) -> tuple[int, ...]:
+    """``c[x] = w_x / (-x)`` for every point ``x`` of ``{1..n}``, where
+    ``w_x = 1 / Π_{y≠x} (x - y)`` is its barycentric weight over the whole
+    universe (index 0 unused).  ``Π_{y≠x}(x - y)`` is
+    ``(x-1)! · (-1)^(n-x) · (n-x)!``."""
+    factorial = [1] * (n + 1)
+    for k in range(1, n + 1):
+        factorial[k] = factorial[k - 1] * k % PRIME
+    weights = [0] * (n + 1)
+    for x in range(1, n + 1):
+        product = factorial[x - 1] * factorial[n - x] * (-1) ** (n - x) * -x
+        weights[x] = pow(product % PRIME, -1, PRIME)
+    return tuple(weights)
+
+
+def subset_coefficients_at_zero(xs: list[int], n: int) -> list[int]:
+    """:func:`lagrange_coefficients_at_zero` for distinct points drawn
+    from ``{1..n}``, with no modular inversion per call.
+
+    With ``S = xs`` and ``U = {1..n}``, the coefficient of ``x`` is
+    ``Π_{y∈S}(-y) · c[x] · Π_{y∈U∖S}(x - y)``: the universe weights are
+    computed once per ``n``, and each coefficient costs ``n - t`` small
+    integer products and three field multiplications.
+
+    Raises:
+        ShamirError: if points repeat or fall outside ``{1..n}``.
+    """
+    chosen = set(xs)
+    if len(chosen) != len(xs):
+        raise ShamirError("interpolation points must be distinct")
+    if not all(0 < x <= n for x in xs):
+        raise ShamirError(f"interpolation points must lie in 1..{n}")
+    weights = _universe_weights(n)
+    others = [y for y in range(1, n + 1) if y not in chosen]
+    numerator = math.prod([-x for x in xs]) % PRIME
+    return [numerator * weights[x] % PRIME
+            * math.prod([x - y for y in others]) % PRIME for x in xs]
 
 
 def reconstruct(shares: list[Share], threshold: int) -> int:

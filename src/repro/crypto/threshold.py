@@ -189,7 +189,11 @@ class ThresholdScheme:
         selected = sorted(valid.values(), key=lambda s: s.signer)[
             : self.threshold]
         points = [s.signer + 1 for s in selected]
-        coefficients = shamir.lagrange_coefficients_at_zero(points)
+        try:
+            coefficients = shamir.subset_coefficients_at_zero(
+                points, self.total)
+        except shamir.ShamirError as exc:
+            raise ThresholdError(str(exc)) from exc
         combined = sum(c * s.value for c, s in zip(coefficients, selected)
                        ) % shamir.PRIME
         return ThresholdSignature(combined)

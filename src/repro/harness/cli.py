@@ -70,6 +70,17 @@ def _render_live_report(report: dict) -> str:
                      in sorted(measure_bytes["recv"].items()))
     lines.append(f"  bytes sent by class: {sent or '-'}")
     lines.append(f"  bytes recv by class: {recv or '-'}")
+    # Schema-tolerant: reports written before it existed carry no RSS.
+    deployment = report.get("deployment") or {}
+    if deployment.get("peak_rss_mb") is not None:
+        line = f"  peak RSS: {deployment['peak_rss_mb']:.1f} MB"
+        replicas = [value for value in (
+            deployment.get("replica_peak_rss_mb") or {}).values()
+            if value is not None]
+        if replicas:
+            line += (f" (this process); replica processes "
+                     f"{min(replicas):.1f}-{max(replicas):.1f} MB")
+        lines.append(line)
     faults = report.get("faults")
     if faults:
         injected = ", ".join(

@@ -58,7 +58,12 @@ from repro.net.transport import Router
 from repro.obs.timeseries import TimeSeries
 from repro.obs.tracer import RingTracer, merge_trace_parts
 from repro.protocols import get_protocol
-from repro.stats import MetricsCollector, NicStats, standard_report
+from repro.stats import (
+    MetricsCollector,
+    NicStats,
+    peak_rss_mb,
+    standard_report,
+)
 
 #: Seconds a child gets to exit after its stop time before SIGTERM.
 CHILD_EXIT_GRACE = 10.0
@@ -409,6 +414,7 @@ def run_replica_from_spec(spec: dict) -> dict:
         "recovery": core.recovery_summary(),
         "snapshots_persisted": snapshots_persisted,
         "restored_from_disk": restored_from_disk,
+        "peak_rss_mb": peak_rss_mb(),
     }
 
 
@@ -778,7 +784,7 @@ def _stub_summary(replica_id: int, protocol: str) -> dict:
         "reconnects": 0, "backoff_retries": 0,
         "timeseries": None, "perf": None, "trace": None,
         "recovery": None, "snapshots_persisted": 0,
-        "restored_from_disk": False,
+        "restored_from_disk": False, "peak_rss_mb": None,
     }
 
 
@@ -870,6 +876,12 @@ def _merge_report(*, protocol: str, n: int, metrics: MetricsCollector,
         "replica_processes": n,
         "exit_codes": dict(sorted(exit_codes.items())),
         "respawns": respawns,
+        # This (client-hosting) process's own, and each replica child's
+        # from its summary (None for a child killed without one).
+        "peak_rss_mb": peak_rss_mb(),
+        "replica_peak_rss_mb": {
+            str(replica_id): summary.get("peak_rss_mb")
+            for replica_id, summary in sorted(summaries.items())},
     }
     if trace is not None:
         report["trace"] = trace

@@ -28,7 +28,12 @@ from repro.net.shaping import LinkPolicy, LinkShaper
 from repro.net.transport import Router
 from repro.obs.timeseries import TimeSeries
 from repro.protocols import get_protocol
-from repro.stats import MetricsCollector, NicStats, standard_report
+from repro.stats import (
+    MetricsCollector,
+    NicStats,
+    peak_rss_mb,
+    standard_report,
+)
 
 
 def transport_summary(routers: list[Router]) -> dict:
@@ -356,7 +361,8 @@ class LiveCluster:
         report["transport"] = transport_summary(
             [node.router for node in self.nodes.values()])
         report["deployment"] = {"mode": "in-process",
-                                "replica_processes": 0}
+                                "replica_processes": 0,
+                                "peak_rss_mb": peak_rss_mb()}
         if self.tracer is not None and self.tracer.enabled:
             report["trace"] = self.tracer.to_jsonable()
         return report

@@ -27,6 +27,7 @@ views the report schema and tests consume are materialised on demand.
 from __future__ import annotations
 
 import math
+import resource
 from dataclasses import dataclass, field
 
 from repro.perf.counters import PerfCounters
@@ -220,6 +221,26 @@ def percentile(ordered: list[float], pct: float) -> float:
     high = min(low + 1, len(ordered) - 1)
     fraction = rank - low
     return ordered[low] + (ordered[high] - ordered[low]) * fraction
+
+
+def peak_rss_mb() -> float:
+    """This process's peak resident set size so far, in MB — the live
+    report's ``deployment.peak_rss_mb``, which says whether a run's
+    retained state is bounded.
+
+    Read from ``VmHWM`` where ``/proc`` has it: a spawned child's
+    ``ru_maxrss`` starts at its parent's peak (Linux carries it across
+    fork and exec), so a ``--processes`` replica would report the
+    orchestrator's memory instead of its own.
+    """
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0  # kB
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 @dataclass

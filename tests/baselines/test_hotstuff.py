@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.baselines.hotstuff import replica as replica_module
 from repro.baselines.hotstuff.config import HotStuffConfig
 from repro.baselines.hotstuff.replica import GENESIS_DIGEST, HotStuffReplica
 from repro.errors import ConfigError
@@ -120,7 +121,86 @@ class TestBlockValidation:
         assert 2 not in replica.blocks
 
 
+def feed_all(loop, first_id, count, client=100):
+    """One bundle per 10 ms to every live replica, so a new leader holds
+    pending requests too."""
+    for bundle_id in range(first_id, first_id + count):
+        for dest in list(loop.cores):
+            loop.deliver_external(client, dest, RequestBundle(
+                client, bundle_id, 50, 128, loop.now))
+        loop.run(0.01)
+    return first_id + count
+
+
+class TestPruning:
+    def test_tables_stay_a_window_behind_execution(self, hs_config):
+        replicas, loop = make_cluster(hs_config)
+        loop.start_all()
+        feed_all(loop, 1, 60)
+        keep = replica_module.KEEP_BELOW_EXECUTED
+        for replica in replicas.values():
+            floor = replica.executed_height - keep
+            assert floor > 20
+            for table in (replica.blocks, replica.qcs, replica._votes):
+                assert all(height == 0 or height > floor for height in table)
+            assert 0 in replica.qcs  # genesis
+            assert len(replica.blocks) <= keep + 4
+
+    def test_pruned_heights_answer_from_the_execution_log(self, hs_config):
+        replicas, loop = make_cluster(hs_config)
+        loop.start_all()
+        feed_all(loop, 1, 8)
+        follower = replicas[2]
+        early = {h: follower.blocks[h].digest() for h in (1, 2, 3)}
+        feed_all(loop, 9, 40)
+        assert 1 not in follower.blocks
+        assert {h: follower._digest_at(h) for h in early} == early
+
+    def test_late_vote_and_block_for_a_pruned_height(self, hs_config):
+        replicas, loop = make_cluster(hs_config)
+        loop.start_all()
+        feed_all(loop, 1, 5)
+        leader = replicas[1]
+        old_block = leader.blocks[2]
+        feed_all(loop, 6, 40)
+        assert 2 not in leader.blocks
+        sizes = (len(leader.blocks), len(leader.qcs), len(leader._votes))
+        vote = HSVote(2, old_block.digest(), 3)
+        assert leader.on_message(3, vote, loop.now) == []
+        follower = replicas[0]
+        assert follower.on_message(1, old_block, loop.now) == []
+        assert (len(leader.blocks), len(leader.qcs),
+                len(leader._votes)) == sizes
+        assert 2 not in follower.blocks
+
+
 class TestPacemaker:
+    def test_new_leader_extends_the_chain_after_pruning(
+            self, hs_config, monkeypatch):
+        # Prune as hard as possible: nothing is kept below execution.
+        monkeypatch.setattr(replica_module, "KEEP_BELOW_EXECUTED", 0)
+        from dataclasses import replace
+        config = replace(hs_config, progress_timeout=0.2)
+        replicas, loop = make_cluster(config)
+        loop.start_all()
+        next_id = feed_all(loop, 1, 40)
+        crashed_at = {i: r.executed_height for i, r in replicas.items()}
+        assert min(crashed_at.values()) > 20
+        assert all(min(r.blocks) > 1 for r in replicas.values())
+        del replicas[1], loop.cores[1]  # the view-1 leader crashes
+        next_id = feed_all(loop, next_id, 5)
+        loop.run(1.0)
+        feed_all(loop, next_id, 40)
+        live = list(replicas.values())
+        assert all(r.view >= 2 for r in live)
+        assert all(r.executed_height >= max(crashed_at.values()) + 20
+                   for r in live)
+        height = min(r.executed_height for r in live)
+        digests = {tuple(r.exec_log.digest_of(h)
+                         for h in range(height - 30, height + 1))
+                   for r in live}
+        assert len(digests) == 1
+
     def test_view_rotation_on_stall(self, hs_config):
         from dataclasses import replace
         config = replace(hs_config, progress_timeout=0.2)

@@ -8,7 +8,7 @@ from repro.baselines.pbft.config import PbftConfig
 from repro.baselines.pbft.replica import PbftReplica
 from repro.errors import ConfigError
 from repro.messages.client import RequestBundle
-from repro.messages.pbft import Prepare, PrePrepare
+from repro.messages.pbft import Commit, Prepare, PrePrepare
 from tests.support import InstantLoop
 
 
@@ -110,3 +110,58 @@ class TestValidation:
         replica.on_message(
             100, RequestBundle(100, 1, 50, 128, 0.0), 0.0)
         assert replica.stalled()
+
+
+class TestQuorumPath:
+    def test_quorum_is_stored(self, pbft_config):
+        assert pbft_config.quorum == 3
+        assert vars(pbft_config)["quorum"] == 3
+
+    def test_progress_checked_only_when_a_count_reaches_quorum(
+            self, pbft_config, monkeypatch):
+        calls = []
+        check = PbftReplica._check_progress
+
+        def counting(self, instance, now):
+            calls.append(instance.block.sn)
+            return check(self, instance, now)
+
+        monkeypatch.setattr(PbftReplica, "_check_progress", counting)
+        replicas, loop = make_cluster(pbft_config)
+        loop.start_all()
+        loop.deliver_external(100, 1, RequestBundle(100, 1, 50, 128, 0.0))
+        loop.run(0.5)
+        assert all(r.executed_sn == 1 for r in replicas.values())
+        # Per replica: once on the 3rd prepare, once on the 3rd commit.
+        assert len(calls) == 2 * len(replicas)
+
+    def test_early_votes_replay_in_one_pass(self, pbft_config):
+        replica = PbftReplica(0, pbft_config)
+        replica.start(0.0)
+        block = PrePrepare(1, 1, 50, 128)
+        for sender in (2, 3):
+            replica.on_message(
+                sender, Prepare(1, 1, block.digest(), sender), 0.0)
+        for sender in (1, 2, 3):
+            replica.on_message(
+                sender, Commit(1, 1, block.digest(), sender), 0.0)
+        replica.on_message(2, Prepare(2, 1, block.digest(), 2), 0.0)
+        effects = replica.on_message(1, block, 0.0)
+        kinds = [type(e).__name__ for e in effects]
+        # Its own prepare, then (on the replayed 3rd prepare) its commit,
+        # and the 3rd commit executes; the other-view vote was dropped.
+        assert kinds == ["Broadcast", "Broadcast", "Executed"]
+        assert replica.executed_sn == 1
+        assert replica._early_votes == {}
+
+    def test_late_vote_for_an_executed_instance_leaves_nothing(
+            self, pbft_config):
+        replicas, loop = make_cluster(pbft_config)
+        loop.start_all()
+        loop.deliver_external(100, 1, RequestBundle(100, 1, 50, 128, 0.0))
+        loop.run(0.5)
+        replica = replicas[0]
+        assert replica.executed_sn == 1 and replica.instances == {}
+        for late in (Prepare(1, 1, b"x" * 32, 3), Commit(1, 1, b"x" * 32, 3)):
+            assert replica.on_message(3, late, loop.now) == []
+        assert replica.instances == {} and replica._early_votes == {}

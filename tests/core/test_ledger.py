@@ -89,7 +89,7 @@ class TestExecution:
             blocks.append(block)
             ledger.confirm(block)
         ledger.execute_ready()
-        assert [e.block_digest for e in ledger.log] == \
+        assert [e.digest for e in ledger.log] == \
             [b.digest() for b in blocks]
 
 
@@ -104,7 +104,7 @@ class TestGarbageCollection:
         ledger.confirm(bft(2, [db2.digest()]))
         ledger.execute_ready()
         removed = ledger.collect_garbage(1)
-        assert removed == 1
+        assert removed == [db1.digest()]
         assert db1.digest() not in pool
         assert db2.digest() in pool
 
@@ -114,14 +114,14 @@ class TestGarbageCollection:
         pool.add(db1)
         ledger.confirm(bft(1, [db1.digest()]))
         ledger.execute_ready()
-        assert ledger.collect_garbage(1) == 1
-        assert ledger.collect_garbage(1) == 0
+        assert len(ledger.collect_garbage(1)) == 1
+        assert ledger.collect_garbage(1) == []
 
     def test_state_digest_changes_with_log(self):
         pool, ledger = setup_ledger()
-        empty = ledger.state_digest()
+        empty = ledger.history.state_digest()
         db1 = datablock(1, 1)
         pool.add(db1)
         ledger.confirm(bft(1, [db1.digest()]))
         ledger.execute_ready()
-        assert ledger.state_digest() != empty
+        assert ledger.history.state_digest() != empty

@@ -52,7 +52,7 @@ class TestHappyPath:
                    bundle_id=bundle_id)
             loop.run(0.2)
         loop.run(1.0)
-        logs = [[e.block_digest for e in r.ledger.log]
+        logs = [[e.digest for e in r.ledger.log]
                 for r in replicas.values()]
         assert logs[0] == logs[1] == logs[2] == logs[3]
         assert len(logs[0]) >= 1

@@ -92,3 +92,27 @@ class TestLagrange:
         value = sum(c * s.y for c, s in zip(coefficients, shares)) % shamir.PRIME
         if len(xs) >= 2:
             assert value == 7
+
+
+class TestSubsetCoefficients:
+    """The per-universe fast path against the direct formula (the oracle)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=1, max_value=160), st.data())
+    def test_identical_to_the_direct_formula(self, n, data):
+        xs = data.draw(st.lists(st.integers(min_value=1, max_value=n),
+                                min_size=1, max_size=n, unique=True))
+        assert shamir.subset_coefficients_at_zero(xs, n) == \
+            shamir.lagrange_coefficients_at_zero(xs)
+
+    def test_threshold_subset_of_paper_scale(self):
+        rng = random.Random(7)
+        for n in (64, 128, 301):
+            xs = sorted(rng.sample(range(1, n + 1), 2 * ((n - 1) // 3) + 1))
+            assert shamir.subset_coefficients_at_zero(xs, n) == \
+                shamir.lagrange_coefficients_at_zero(xs)
+
+    @pytest.mark.parametrize("xs", [[1, 1, 2], [0, 1], [1, 5]])
+    def test_rejects_points_outside_the_universe(self, xs):
+        with pytest.raises(shamir.ShamirError):
+            shamir.subset_coefficients_at_zero(xs, 4)

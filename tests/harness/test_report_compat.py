@@ -146,6 +146,19 @@ def test_schema7_incomplete_recovery_renders_loudly():
     assert "1:INCOMPLETE(+5 entries, 1 segments)" in text
 
 
+def test_peak_rss_renders_for_both_deployment_modes():
+    report = json.loads(
+        (DATA / "chaos_leopard_schema4.json").read_text())
+    assert "peak RSS" not in _render_live_report(report)  # older report
+    report["deployment"]["peak_rss_mb"] = 71.25
+    assert "  peak RSS: 71.2 MB" in _render_live_report(report).splitlines()
+    report["deployment"].update(
+        mode="processes", peak_rss_mb=40.0,
+        replica_peak_rss_mb={"0": 55.0, "1": 61.5, "2": None})
+    assert ("peak RSS: 40.0 MB (this process); replica processes "
+            "55.0-61.5 MB") in _render_live_report(report)
+
+
 GENERATED = sorted(ARTIFACTS.glob("chaos_*.json")) \
     if ARTIFACTS.is_dir() else []
 

@@ -50,6 +50,6 @@ class TestFanoutEndToEnd:
         assert all(r.total_executed == 100 for r in replicas.values())
         # Logs remain identical (duplication is a workload property, not
         # a safety one).
-        logs = [[e.block_digest for e in r.ledger.log]
+        logs = [[e.digest for e in r.ledger.log]
                 for r in replicas.values()]
         assert all(log == logs[0] for log in logs)

@@ -31,7 +31,7 @@ class TestHappyPath:
         shortest = min(len(log) for log in logs)
         assert shortest > 0
         for position in range(shortest):
-            digests = {log[position].block_digest for log in logs}
+            digests = {log[position].digest for log in logs}
             assert len(digests) == 1
 
     def test_no_view_change_under_honest_leader(self, small_cluster):
@@ -75,7 +75,7 @@ class TestDeterminism:
             n=4, seed=seed, config=config, warmup=0.2, total_rate=20_000)
         cluster.run(1.0)
         replica = cluster.replicas[cluster.measure_replica]
-        return [entry.block_digest for entry in replica.ledger.log]
+        return [entry.digest for entry in replica.ledger.log]
 
     def test_same_seed_same_log(self):
         assert self._digest_of_run(11) == self._digest_of_run(11)

@@ -31,7 +31,7 @@ def fast_config():
 
 
 def prefix_consistent(replicas) -> bool:
-    logs = [[e.block_digest for e in r.ledger.log] for r in replicas]
+    logs = [[e.digest for e in r.ledger.log] for r in replicas]
     shortest = min(len(log) for log in logs)
     return all(
         len({log[i] for log in logs}) == 1 for i in range(shortest))

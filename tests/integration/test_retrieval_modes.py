@@ -48,7 +48,7 @@ class TestAllModesRecover:
     def test_logs_consistent(self, mode_runs, mode):
         cluster = mode_runs[mode]
         honest = [r for r in cluster.replicas if r.node_id != 3]
-        logs = [[e.block_digest for e in r.ledger.log] for r in honest]
+        logs = [[e.digest for e in r.ledger.log] for r in honest]
         shortest = min(len(log) for log in logs)
         assert shortest > 0
         for position in range(shortest):

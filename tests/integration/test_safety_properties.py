@@ -25,7 +25,7 @@ from repro.faults import (
 
 
 def assert_prefix_consistent(replicas, min_length=0):
-    logs = [[entry.block_digest for entry in r.ledger.log]
+    logs = [[entry.digest for entry in r.ledger.log]
             for r in replicas]
     shortest = min(len(log) for log in logs)
     assert shortest >= min_length

@@ -37,8 +37,8 @@ class TestRetrievalRestoresLiveness:
         # The victim's log must match an unaffected replica's prefix.
         reference = cluster.replicas[
             next(r for r in range(4) if r not in (victim, faulty, 1))]
-        victim_log = [e.block_digest for e in victim_replica.ledger.log]
-        reference_log = [e.block_digest for e in reference.ledger.log]
+        victim_log = [e.digest for e in victim_replica.ledger.log]
+        reference_log = [e.digest for e in reference.ledger.log]
         shortest = min(len(victim_log), len(reference_log))
         assert shortest > 0
         assert victim_log[:shortest] == reference_log[:shortest]

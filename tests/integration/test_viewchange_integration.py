@@ -45,7 +45,7 @@ class TestLeaderCrash:
         cluster, leader = self._run_crash()
         cluster.run(2.0)
         honest = [r for r in cluster.replicas if r.node_id != leader]
-        logs = [[e.block_digest for e in r.ledger.log] for r in honest]
+        logs = [[e.digest for e in r.ledger.log] for r in honest]
         shortest = min(len(log) for log in logs)
         for position in range(shortest):
             assert len({log[position] for log in logs}) == 1

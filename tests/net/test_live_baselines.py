@@ -85,6 +85,7 @@ class TestBaselineLiveCommits:
         assert report["protocol"] == protocol
         assert report["backend"] == "live"
         assert report["deployment"]["mode"] == "in-process"
+        assert report["deployment"]["peak_rss_mb"] > 0
         assert report["throughput_rps"] > 0
 
 

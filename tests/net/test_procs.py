@@ -163,6 +163,10 @@ class TestRunLiveProcesses:
         # Every replica child exited cleanly and was reaped.
         assert report["deployment"]["mode"] == "processes"
         assert set(report["deployment"]["exit_codes"].values()) == {0}
+        # Each child's own peak RSS came home in its summary.
+        child_rss = report["deployment"]["replica_peak_rss_mb"]
+        assert sorted(child_rss) == ["0", "1", "2", "3"]
+        assert all(value > 0 for value in child_rss.values())
         # Acks crossed process boundaries back to the parent's clients.
         assert report["acked_bundles"] > 0
         # Byte accounting was merged from the child summaries.
