@@ -41,6 +41,21 @@ import sys
 import time
 
 
+def _per_process(deployment: dict, key: str, fmt: str,
+                 unit: str = "") -> str:
+    """``deployment[key]``, then its range over the replica processes
+    (``replica_<key>``) when the run had any."""
+    text = fmt.format(deployment[key]) + unit
+    replicas = [value for value in (
+        deployment.get(f"replica_{key}") or {}).values()
+        if value is not None]
+    if replicas:
+        text += (f" (this process); replica processes "
+                 f"{fmt.format(min(replicas))}-"
+                 f"{fmt.format(max(replicas))}{unit}")
+    return text
+
+
 def _render_live_report(report: dict) -> str:
     """Human-readable summary of a live run's standard report."""
     latency = report["latency_s"]
@@ -73,13 +88,11 @@ def _render_live_report(report: dict) -> str:
     # Schema-tolerant: reports written before it existed carry no RSS.
     deployment = report.get("deployment") or {}
     if deployment.get("peak_rss_mb") is not None:
-        line = f"  peak RSS: {deployment['peak_rss_mb']:.1f} MB"
-        replicas = [value for value in (
-            deployment.get("replica_peak_rss_mb") or {}).values()
-            if value is not None]
-        if replicas:
-            line += (f" (this process); replica processes "
-                     f"{min(replicas):.1f}-{max(replicas):.1f} MB")
+        line = "  peak RSS: " + _per_process(deployment, "peak_rss_mb",
+                                             "{:.1f}", " MB")
+        if deployment.get("minor_faults") is not None:
+            line += "; minor faults: " + _per_process(
+                deployment, "minor_faults", "{}")
         lines.append(line)
     faults = report.get("faults")
     if faults:
@@ -255,6 +268,16 @@ def run_live_command(argv: list[str]) -> int:
         if committed < args.min_committed:
             print(f"FAIL: {committed} requests committed "
                   f"< required {args.min_committed}", file=sys.stderr)
+            return 1
+        errors = {key: report["transport"][key]
+                  for key in ("decode_errors", "handler_errors")}
+        if scenario is None and any(errors.values()):
+            # A fault-free run has no reason to garble a frame or raise
+            # in a core; a transport bug can do either and still commit.
+            print("FAIL: transport errors in a fault-free run: "
+                  + " ".join(f"{key}={count}"
+                             for key, count in errors.items()),
+                  file=sys.stderr)
             return 1
         print(f"live smoke OK: {committed} requests committed "
               f">= {args.min_committed}")

@@ -61,6 +61,7 @@ from repro.protocols import get_protocol
 from repro.stats import (
     MetricsCollector,
     NicStats,
+    minor_faults,
     peak_rss_mb,
     standard_report,
 )
@@ -389,6 +390,7 @@ def run_replica_from_spec(spec: dict) -> dict:
         await node.shutdown()
         return stopped_at
 
+    faults_at_start = minor_faults()
     stopped_at = asyncio.run(serve())
     listener = router.listener
     return {
@@ -415,6 +417,7 @@ def run_replica_from_spec(spec: dict) -> dict:
         "snapshots_persisted": snapshots_persisted,
         "restored_from_disk": restored_from_disk,
         "peak_rss_mb": peak_rss_mb(),
+        "minor_faults": minor_faults() - faults_at_start,
     }
 
 
@@ -641,6 +644,7 @@ def run_live_processes(n: int = 4, client_count: int = 1,
         duration = max(duration, resolved.duration() + 0.5)
 
     spawn_epoch = time.time()
+    faults_at_start = minor_faults()
     # Fallback ceiling only: children normally stop on the parent's
     # SIGTERM; this bounds an orphaned child whose parent died.
     ceiling_unix = spawn_epoch + BOOT_TIMEOUT + duration \
@@ -761,6 +765,7 @@ def run_live_processes(n: int = 4, client_count: int = 1,
                      if summary.get("trace"))
         trace_section = merge_trace_parts(parts)
     return _merge_report(protocol=protocol, n=n, metrics=metrics,
+                         faults_at_start=faults_at_start,
                          summaries=summaries, client_routers=client_routers,
                          measure_replica=measure_replica, warmup=warmup,
                          elapsed=elapsed, exit_codes=exit_codes,
@@ -785,6 +790,7 @@ def _stub_summary(replica_id: int, protocol: str) -> dict:
         "timeseries": None, "perf": None, "trace": None,
         "recovery": None, "snapshots_persisted": 0,
         "restored_from_disk": False, "peak_rss_mb": None,
+        "minor_faults": None,
     }
 
 
@@ -801,6 +807,7 @@ def _tail_logs(log_paths: dict[int, Path], limit: int = 400) -> dict:
 
 
 def _merge_report(*, protocol: str, n: int, metrics: MetricsCollector,
+                  faults_at_start: int,
                   summaries: dict[int, dict],
                   client_routers: list[Router], measure_replica: int,
                   warmup: float, elapsed: float,
@@ -876,11 +883,16 @@ def _merge_report(*, protocol: str, n: int, metrics: MetricsCollector,
         "replica_processes": n,
         "exit_codes": dict(sorted(exit_codes.items())),
         "respawns": respawns,
-        # This (client-hosting) process's own, and each replica child's
-        # from its summary (None for a child killed without one).
+        # Peak RSS and minor faults: this (client-hosting) process's own,
+        # and each replica child's from its summary (None for a child
+        # killed without one).
         "peak_rss_mb": peak_rss_mb(),
         "replica_peak_rss_mb": {
             str(replica_id): summary.get("peak_rss_mb")
+            for replica_id, summary in sorted(summaries.items())},
+        "minor_faults": minor_faults() - faults_at_start,
+        "replica_minor_faults": {
+            str(replica_id): summary.get("minor_faults")
             for replica_id, summary in sorted(summaries.items())},
     }
     if trace is not None:

@@ -31,6 +31,7 @@ from repro.protocols import get_protocol
 from repro.stats import (
     MetricsCollector,
     NicStats,
+    minor_faults,
     peak_rss_mb,
     standard_report,
 )
@@ -135,6 +136,7 @@ class LiveCluster:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._epoch: float | None = None
         self._stopped_at: float | None = None
+        self._faults_at_start = 0
         self._sampler_task: asyncio.Task | None = None
 
         self.replicas = [
@@ -169,6 +171,7 @@ class LiveCluster:
         loop = asyncio.get_running_loop()
         self._loop = loop
         self._epoch = loop.time()
+        self._faults_at_start = minor_faults()
         for core in [*self.replicas, *self.clients]:
             router = Router(core.node_id, self.address_book, host=self.host,
                             shaper=self.shaper)
@@ -360,9 +363,11 @@ class LiveCluster:
         )
         report["transport"] = transport_summary(
             [node.router for node in self.nodes.values()])
-        report["deployment"] = {"mode": "in-process",
-                                "replica_processes": 0,
-                                "peak_rss_mb": peak_rss_mb()}
+        report["deployment"] = {
+            "mode": "in-process",
+            "replica_processes": 0,
+            "peak_rss_mb": peak_rss_mb(),
+            "minor_faults": minor_faults() - self._faults_at_start}
         if self.tracer is not None and self.tracer.enabled:
             report["trace"] = self.tracer.to_jsonable()
         return report

@@ -11,6 +11,19 @@ vote streams.  Both directions are asyncio protocols, not streams: each
 socket read is one dispatch pass over every complete frame it holds, and
 each drain of a peer's queue hands its unshaped frames over in one write.
 
+Receive buffer: every inbound connection on an event loop reads into one
+reused buffer of ``RECV_BUFFER_BYTES`` and decodes frames in place from
+it (decoded messages copy what they keep, so nothing aliases it).  A
+plain ``asyncio.Protocol`` costs a fresh buffer of that size per read,
+which the allocator serves with an mmap, page faults and a munmap — the
+largest per-message cost of a small-frame stream.  Sharing is safe
+because asyncio calls ``get_buffer``, ``recv_into`` and
+``buffer_updated`` back to back on the loop thread, so no two reads
+interleave; one buffer per loop rather than per connection keeps a
+leader's n-1 inbound streams from each holding one.  Only a frame that
+straddles reads is copied, once, into a buffer of its own that the
+kernel then fills directly.
+
 Backpressure: an outbound frame waits in its link's byte-bounded queue
 until the drain loop writes it, then in the asyncio transport's write
 buffer until the kernel accepts it, then in the kernel socket buffer
@@ -33,9 +46,11 @@ column-for-column without the transport importing simulator machinery.
 from __future__ import annotations
 
 import asyncio
+import mmap
 import random
 import struct
 import time
+import weakref
 from collections import deque
 from typing import Callable
 
@@ -59,26 +74,47 @@ DEFAULT_LINK_BPS = 1e9
 #: next write.
 WRITE_BATCH_BYTES = 1024 * 1024
 
+#: Size of the receive buffer every inbound connection on one event loop
+#: reads into: the read size asyncio's own socket transport uses.
+RECV_BUFFER_BYTES = 256 * 1024
+
 _PREFIX = struct.Struct("!I")  # the codec's LENGTH_PREFIX
+
+_RECV_BUFFERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 MessageHandler = Callable[[int, object], None]
 
 
-class _InboundConnection(asyncio.Protocol):
+def _receive_buffer(loop: asyncio.AbstractEventLoop) -> memoryview:
+    """The receive buffer shared by every inbound connection on ``loop``,
+    mapped on first use.  An anonymous mapping, not a zero-filled
+    bytearray: a page becomes resident only once a read reaches it, so
+    a loop whose reads stay small keeps a small footprint."""
+    buffer = _RECV_BUFFERS.get(loop)
+    if buffer is None:
+        buffer = _RECV_BUFFERS[loop] = memoryview(
+            mmap.mmap(-1, RECV_BUFFER_BYTES))
+    return buffer
+
+
+class _InboundConnection(asyncio.BufferedProtocol):
     """One accepted connection: slices whole frames out of each read.
 
-    A trailing partial frame is kept as a list of chunks and joined once
-    its announced length has arrived, so a large frame is not re-copied
-    per read.
+    Reads land in the loop's shared receive buffer and are decoded in
+    place.  A frame that straddles reads gets a buffer of its own, sized
+    from its length prefix: its received head is copied in once and the
+    kernel writes the rest straight into it.  A cut length prefix is
+    completed the same way in a buffer of the prefix's size.
     """
 
     def __init__(self, listener: Listener) -> None:
         self.listener = listener
         self.transport: asyncio.Transport | None = None
-        self.closed = asyncio.get_running_loop().create_future()
-        self._parts: list = []
-        self._buffered = 0
-        self._needed = 0
+        loop = asyncio.get_running_loop()
+        self.closed = loop.create_future()
+        self._shared = _receive_buffer(loop)
+        self._frame: memoryview | None = None  # straddling frame
+        self._filled = 0  # bytes of it received so far
 
     def connection_made(self, transport) -> None:
         self.transport = transport
@@ -88,35 +124,50 @@ class _InboundConnection(asyncio.Protocol):
         self.listener._connections.discard(self)
         self.closed.set_result(None)
 
-    def data_received(self, data: bytes) -> None:
-        if self._parts:
-            self._parts.append(data)
-            self._buffered += len(data)
-            if self._buffered < self._needed:
-                return
-            data = b"".join(self._parts)
-            self._parts.clear()
+    def get_buffer(self, sizehint: int) -> memoryview:
+        if self._frame is not None:
+            return self._frame[self._filled:]
+        return self._shared
+
+    def buffer_updated(self, nbytes: int) -> None:
+        frame = self._frame
+        if frame is None:
+            self._dispatch(self._shared, nbytes)
+            return
+        self._filled += nbytes
+        if self._filled == len(frame):
+            self._frame = None
+            self._dispatch(frame, len(frame))
+
+    def _dispatch(self, view: memoryview, end: int) -> None:
+        """Decode and hand on every whole frame in ``view[:end]``; keep
+        the trailing partial one for the next read."""
         listener = self.listener
         # Looked up per read, not held: tracing swaps both at runtime.
         decode = codec.decode_payload
         handler = listener.handler
         record = listener.stats.record_recv
-        view = memoryview(data)
-        end = len(data)
         pos = 0
-        while end - pos >= codec.LENGTH_PREFIX:
-            length = _PREFIX.unpack_from(data, pos)[0]
-            if length > codec.MAX_FRAME_BYTES:
-                return self._garbled()
-            start = pos + codec.LENGTH_PREFIX
-            if start + length > end:
-                break
+        while pos < end:
+            size = codec.LENGTH_PREFIX
+            if end - pos >= size:
+                length = _PREFIX.unpack_from(view, pos)[0]
+                if length > codec.MAX_FRAME_BYTES:
+                    return self._garbled()
+                size += length
+            if pos + size > end:
+                frame = memoryview(bytearray(size))
+                frame[:end - pos] = view[pos:end]
+                self._frame = frame
+                self._filled = end - pos
+                return
             try:
-                sender, msg = decode(view[start:start + length])
+                sender, msg = decode(view[pos + codec.LENGTH_PREFIX:
+                                          pos + size])
             except codec.CodecError:
                 return self._garbled()
-            pos = start + length
-            record(msg.msg_class, codec.LENGTH_PREFIX + length)
+            pos += size
+            record(msg.msg_class, size)
             try:
                 handler(sender, msg)
             except Exception:
@@ -124,12 +175,6 @@ class _InboundConnection(asyncio.Protocol):
                 # would silently drop the peer's queued frames); count it
                 # and keep serving.
                 listener.handler_errors += 1
-        if pos < end:
-            self._parts.append(view[pos:])
-            self._buffered = end - pos
-            self._needed = codec.LENGTH_PREFIX
-            if self._buffered >= codec.LENGTH_PREFIX:
-                self._needed += _PREFIX.unpack_from(data, pos)[0]
 
     def _garbled(self) -> None:
         """Oversized or malformed frame: drop this connection only."""

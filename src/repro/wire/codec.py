@@ -68,6 +68,7 @@ MAX_FRAME_BYTES = 256 * 1024 * 1024
 LENGTH_PREFIX = 4
 
 _HEADER = struct.Struct("!IBI")  # payload_length, type tag, sender
+_ZERO_BLOCK = memoryview(bytes(64 * 1024))  # frame padding is cut from it
 _FIELD_BYTES = 32  # threshold-scheme field elements (256-bit prime)
 
 
@@ -231,12 +232,6 @@ def _r_merkle_proof(r: _Reader) -> MerkleProof:
     count = r.u16()
     siblings = tuple((r.u8() == 1, r.hash32()) for _ in range(count))
     return MerkleProof(leaf_index, siblings)
-
-
-def _pad_filler(w: _Writer, count: int) -> None:
-    """Stand-in for ``count`` bytes of real request payload."""
-    if count > 0:
-        w.raw(bytes(count))
 
 
 def _w_nested(w: _Writer,
@@ -698,13 +693,18 @@ def encode(sender: int, msg) -> bytes:
         raise CodecError(f"unregistered message type {type(msg).__name__}")
     writer = _Writer()
     _REGISTRY[tag][1](writer, msg)
-    body = writer.body()
-    target = msg.size_bytes()
-    padding = target - _HEADER.size - len(body)
+    parts = writer.parts
+    body_size = writer.size()
+    padding = msg.size_bytes() - _HEADER.size - body_size
     if padding > 0:
-        body += bytes(padding)
-    payload_length = _HEADER.size - LENGTH_PREFIX + len(body)
-    return _HEADER.pack(payload_length, tag, sender) + body
+        # Views of one zero block: the join below is the frame's only
+        # frame-sized allocation.
+        whole, rest = divmod(padding, len(_ZERO_BLOCK))
+        parts.extend([_ZERO_BLOCK] * whole)
+        parts.append(_ZERO_BLOCK[:rest])
+        body_size += padding
+    payload_length = _HEADER.size - LENGTH_PREFIX + body_size
+    return b"".join([_HEADER.pack(payload_length, tag, sender), *parts])
 
 
 def decode_payload(payload: bytes | memoryview) -> tuple[int, object]:

@@ -61,6 +61,29 @@ class TestRunLiveCli:
             "--min-committed", "10000000"]) == 1
         assert "FAIL" in capsys.readouterr().err
 
+    def test_run_live_min_committed_gate_fails_on_transport_errors(
+            self, capsys, monkeypatch):
+        """A fault-free smoke that commits but counted a transport error
+        fails: a receiver bug can kill a connection and still commit."""
+        from repro.net import live
+
+        run_live_sync = live.run_live_sync
+
+        def one_handler_error(**kwargs):
+            report = run_live_sync(**kwargs)
+            report["transport"]["handler_errors"] += 1
+            return report
+
+        monkeypatch.setattr(live, "run_live_sync", one_handler_error)
+        assert main([
+            "run-live", "--replicas", "4", "--duration", "1.0",
+            "--rate", "2000", "--bundle-size", "100",
+            "--min-committed", "1"]) == 1
+        captured = capsys.readouterr()
+        assert ("FAIL: transport errors in a fault-free run: "
+                "decode_errors=0 handler_errors=1") in captured.err
+        assert "live smoke OK" not in captured.out
+
     def test_run_live_baseline_protocol(self, capsys):
         assert main([
             "run-live", "--protocol", "pbft", "--replicas", "4",

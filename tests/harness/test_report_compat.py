@@ -159,6 +159,25 @@ def test_peak_rss_renders_for_both_deployment_modes():
             "55.0-61.5 MB") in _render_live_report(report)
 
 
+def test_minor_faults_render_beside_peak_rss_for_both_modes():
+    report = json.loads(
+        (DATA / "chaos_leopard_schema4.json").read_text())
+    report["deployment"]["peak_rss_mb"] = 71.25
+    # A report from before minor faults were recorded renders without.
+    assert "minor faults" not in _render_live_report(report)
+    report["deployment"]["minor_faults"] = 1523
+    assert ("  peak RSS: 71.2 MB; minor faults: 1523"
+            in _render_live_report(report).splitlines())
+    report["deployment"].update(
+        mode="processes", peak_rss_mb=40.0,
+        replica_peak_rss_mb={"0": 55.0, "1": 61.5, "2": None},
+        minor_faults=900,
+        replica_minor_faults={"0": 4100, "1": 3900, "2": None})
+    assert ("peak RSS: 40.0 MB (this process); replica processes "
+            "55.0-61.5 MB; minor faults: 900 (this process); replica "
+            "processes 3900-4100") in _render_live_report(report)
+
+
 GENERATED = sorted(ARTIFACTS.glob("chaos_*.json")) \
     if ARTIFACTS.is_dir() else []
 

@@ -22,7 +22,7 @@ from repro.protocols import default_live_config_for, get_protocol
 from repro.net.transport import Listener
 from repro.sim.network import NicStats
 from repro.wire import codec
-from tests.net.test_transport import receiver
+from tests.net.test_transport import feed, receiver
 
 BASELINES = ("pbft", "hotstuff")
 DIGEST = bytes(range(32))
@@ -86,6 +86,7 @@ class TestBaselineLiveCommits:
         assert report["backend"] == "live"
         assert report["deployment"]["mode"] == "in-process"
         assert report["deployment"]["peak_rss_mb"] > 0
+        assert report["deployment"]["minor_faults"] >= 0
         assert report["throughput_rps"] > 0
 
 
@@ -148,8 +149,8 @@ class TestBaselineWireFraming:
                 lambda sender, msg: received.append((sender, msg)),
                 NicStats()))
             half = len(frame) // 2  # the frame straddles two reads
-            connection.data_received(frame[:half])
-            connection.data_received(frame[half:])
+            feed(connection, frame[:half])
+            feed(connection, frame[half:])
             return received
 
         assert run(scenario()) == [(9, msg)]

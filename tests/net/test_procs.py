@@ -167,6 +167,11 @@ class TestRunLiveProcesses:
         child_rss = report["deployment"]["replica_peak_rss_mb"]
         assert sorted(child_rss) == ["0", "1", "2", "3"]
         assert all(value > 0 for value in child_rss.values())
+        # ... and so did its minor-fault count over the run.
+        child_faults = report["deployment"]["replica_minor_faults"]
+        assert sorted(child_faults) == ["0", "1", "2", "3"]
+        assert all(value >= 0 for value in child_faults.values())
+        assert report["deployment"]["minor_faults"] >= 0
         # Acks crossed process boundaries back to the parent's clients.
         assert report["acked_bundles"] > 0
         # Byte accounting was merged from the child summaries.

@@ -7,7 +7,9 @@ import fcntl
 import socket
 import struct
 import termios
+import tracemalloc
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.messages.client import RequestBundle
@@ -47,11 +49,31 @@ class _Transport:
 
 def receiver(listener: Listener):
     """A receive-side connection of ``listener`` whose socket reads are
-    fed by hand (``data_received``), so piece boundaries are exact.
-    Needs a running event loop."""
+    fed by hand (:func:`feed`), so piece boundaries are exact.  Needs a
+    running event loop."""
     connection = transport_mod._InboundConnection(listener)
     connection.connection_made(_Transport())
     return connection
+
+
+def feed(connection, piece: bytes) -> None:
+    """Deliver ``piece`` as asyncio's socket transport does: ask for a
+    buffer, read at most its length into it, report the count.  A piece
+    longer than the buffer is split over as many reads as it takes; a
+    closed connection reads nothing more."""
+    view = memoryview(piece)
+    while view and not connection.transport.closing:
+        buffer = connection.get_buffer(-1)
+        assert len(buffer) > 0
+        count = min(len(buffer), len(view))
+        buffer[:count] = view[:count]
+        connection.buffer_updated(count)
+        view = view[count:]
+
+
+def drained(connection) -> bool:
+    """No straddling frame or cut length prefix is left over."""
+    return connection._frame is None
 
 
 class TestListenerFraming:
@@ -524,7 +546,7 @@ class TestReceiver:
             connection = receiver(Listener(
                 lambda sender, msg: received.append((sender, msg)), stats))
             for piece in pieces:
-                connection.data_received(piece)
+                feed(connection, piece)
             return received, stats, connection
 
         received, stats, connection = run(scenario())
@@ -534,7 +556,7 @@ class TestReceiver:
             expected.record_recv(msg.msg_class, len(frame))
         assert stats.recv_bytes == expected.recv_bytes
         assert stats.recv_msgs == expected.recv_msgs
-        assert not connection._parts  # nothing left over
+        assert drained(connection)  # nothing left over
 
     def test_garbled_frame_mid_piece_drops_only_its_connection(self):
         garbage = (6).to_bytes(4, "big") + bytes([255]) + bytes(5)
@@ -544,10 +566,10 @@ class TestReceiver:
             listener = Listener(
                 lambda sender, msg: received.append(msg), NicStats())
             garbler, clean = receiver(listener), receiver(listener)
-            garbler.data_received(
-                codec.encode(1, Ready(DIGEST)) + codec.encode(1, Ready(DIGEST2))
-                + garbage + codec.encode(1, Ready(bytes(32))))
-            clean.data_received(codec.encode(2, Ready(DIGEST2)))
+            feed(garbler,
+                 codec.encode(1, Ready(DIGEST)) + codec.encode(1, Ready(DIGEST2))
+                 + garbage + codec.encode(1, Ready(bytes(32))))
+            feed(clean, codec.encode(2, Ready(DIGEST2)))
             return received, listener, garbler, clean
 
         received, listener, garbler, clean = run(scenario())
@@ -562,15 +584,158 @@ class TestReceiver:
             listener = Listener(
                 lambda sender, msg: received.append(msg), NicStats())
             connection = receiver(listener)
-            connection.data_received(
-                codec.encode(1, Ready(DIGEST))
-                + (codec.MAX_FRAME_BYTES + 1).to_bytes(4, "big"))
+            feed(connection,
+                 codec.encode(1, Ready(DIGEST))
+                 + (codec.MAX_FRAME_BYTES + 1).to_bytes(4, "big"))
             return received, listener.decode_errors, connection
 
         received, errors, connection = run(scenario())
         assert received == [Ready(DIGEST)]
         assert errors == 1
         assert connection.transport.closing
+
+    def test_read_completing_a_straddler_also_carries_whole_and_partial(
+            self):
+        """The rest of a read that completes a straddling frame is not
+        dropped: whole frames behind it dispatch, a new partial waits."""
+        straddler = codec.encode(1, RequestBundle(1, 1, 100, 128, 0.5))
+        whole = [codec.encode(1, Ready(bytes([i]) * 32)) for i in range(3)]
+        partial = codec.encode(1, Ready(DIGEST2))
+
+        async def scenario():
+            received = []
+            listener = Listener(
+                lambda sender, msg: received.append(msg), NicStats())
+            connection = receiver(listener)
+            feed(connection, straddler[:100])
+            feed(connection, straddler[100:] + b"".join(whole) + partial[:7])
+            middle = (list(received), drained(connection))
+            feed(connection, partial[7:])
+            return received, middle, listener, connection
+
+        received, middle, listener, connection = run(scenario())
+        assert middle == ([RequestBundle(1, 1, 100, 128, 0.5),
+                           *(Ready(bytes([i]) * 32) for i in range(3))],
+                          False)
+        assert received[-1] == Ready(DIGEST2) and len(received) == 5
+        assert listener.decode_errors == 0
+        assert drained(connection)
+
+    def test_length_prefix_split_one_and_three_bytes(self):
+        frames = [codec.encode(1, Ready(DIGEST)),
+                  codec.encode(2, Ready(DIGEST2))]
+
+        async def scenario():
+            received = []
+            connection = receiver(Listener(
+                lambda sender, msg: received.append((sender, msg)),
+                NicStats()))
+            feed(connection, frames[0] + frames[1][:1])
+            feed(connection, frames[1][1:4])
+            feed(connection, frames[1][4:])
+            return received, connection
+
+        received, connection = run(scenario())
+        assert received == [(1, Ready(DIGEST)), (2, Ready(DIGEST2))]
+        assert drained(connection)
+
+    @pytest.mark.parametrize("piece", [64 * 1024, None],
+                             ids=["64KiB-reads", "one-read"])
+    def test_frame_larger_than_the_shared_buffer(self, piece):
+        big = RequestBundle(3, 9, 10_000, 128, 0.5)
+        frame = codec.encode(5, big)
+        assert len(frame) >= 1024 * 1024 > transport_mod.RECV_BUFFER_BYTES
+        stream = frame + codec.encode(5, Ready(DIGEST))
+        step = piece or len(stream)
+
+        async def scenario():
+            received = []
+            stats = NicStats()
+            connection = receiver(Listener(
+                lambda sender, msg: received.append(msg), stats))
+            for at in range(0, len(stream), step):
+                feed(connection, stream[at:at + step])
+            return received, stats, connection
+
+        received, stats, connection = run(scenario())
+        assert received == [big, Ready(DIGEST)]
+        assert stats.recv_bytes[big.msg_class] == len(frame)
+        assert drained(connection)
+
+    def test_garbled_frame_behind_a_straddler_drops_only_its_connection(
+            self):
+        """Two connections share the loop's receive buffer; reads of one
+        interleave with the other's straddling frame, then garbage."""
+        garbage = (6).to_bytes(4, "big") + bytes([255]) + bytes(5)
+        straddler = codec.encode(1, RequestBundle(1, 2, 50, 128, 0.5))
+        first = codec.encode(2, Ready(DIGEST))
+        clean_frames = first + codec.encode(2, Ready(DIGEST2))
+        cut = len(first) + 10  # one whole frame, then part of the next
+
+        async def scenario():
+            received = []
+            listener = Listener(
+                lambda sender, msg: received.append((sender, msg)),
+                NicStats())
+            garbler, clean = receiver(listener), receiver(listener)
+            feed(garbler, straddler[:40])
+            feed(clean, clean_frames[:cut])
+            feed(garbler, straddler[40:] + garbage
+                 + codec.encode(1, Ready(bytes(32))))
+            feed(clean, clean_frames[cut:])
+            return received, listener, garbler, clean
+
+        received, listener, garbler, clean = run(scenario())
+        assert received == [(2, Ready(DIGEST)),
+                            (1, RequestBundle(1, 2, 50, 128, 0.5)),
+                            (2, Ready(DIGEST2))]
+        assert listener.decode_errors == 1
+        assert garbler.transport.closing
+        assert not clean.transport.closing
+        assert drained(clean)
+
+
+class TestReceiveAllocations:
+    def test_streaming_small_frames_allocates_no_read_buffers(self):
+        """Reads land in the loop's shared receive buffer: streaming
+        2 000 small frames raises the traced peak by far less than one
+        read-sized buffer would."""
+        frame = codec.encode(1, Ready(DIGEST))
+        warmup, count = 20, 2000
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            delivered = [0]
+
+            def handler(sender, msg):
+                delivered[0] += 1
+
+            listener = Listener(handler, NicStats())
+            await listener.start()
+            sock = socket.create_connection(("127.0.0.1", listener.port))
+            sock.setblocking(False)
+            try:
+                for _ in range(warmup):
+                    await loop.sock_sendall(sock, frame)
+                await until(lambda: delivered[0] == warmup)
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                for _ in range(count):
+                    await loop.sock_sendall(sock, frame)
+                    await asyncio.sleep(0)  # let the listener read
+                await until(lambda: delivered[0] == warmup + count)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                sock.close()
+                await listener.close()
+            return peak - before
+
+        tracemalloc.start()
+        try:
+            rise = run(scenario())
+        finally:
+            tracemalloc.stop()
+        assert rise < 64 * 1024
 
 
 class TestCoalescedSends:

@@ -38,7 +38,13 @@ from repro.messages.recovery import (
     StateRequest,
     StateSnapshot,
 )
-from repro.wire import CodecError, decode, encode, registered_message_types
+from repro.wire import (
+    CodecError,
+    codec,
+    decode,
+    encode,
+    registered_message_types,
+)
 from repro.wire.codec import LENGTH_PREFIX
 
 DIGEST = bytes(range(32))
@@ -195,3 +201,48 @@ class TestFraming:
         _, decoded_db = decode(encode(1, datablock))
         assert decoded_db.digest() == datablock.digest()
         assert decoded_db.body() == datablock.body()
+
+
+def _reference_encode(sender: int, msg) -> bytes:
+    """The frame assembly ``encode`` replaced: a joined body, padding
+    appended to it, then the header concatenated in front."""
+    tag = codec._TAG_BY_TYPE[type(msg)]
+    writer = codec._Writer()
+    codec._REGISTRY[tag][1](writer, msg)
+    body = writer.body()
+    padding = msg.size_bytes() - codec._HEADER.size - len(body)
+    if padding > 0:
+        body += bytes(padding)
+    payload_length = codec._HEADER.size - LENGTH_PREFIX + len(body)
+    return codec._HEADER.pack(payload_length, tag, sender) + body
+
+
+#: Messages padded by more than one of the encoder's zero blocks.
+LONG_PADDING = [
+    RequestBundle(8, 4, 2000, 128, 0.5),
+    Datablock(creator=1, counter=2, request_count=1024, payload_size=64),
+]
+
+
+class TestFrameAssembly:
+    @pytest.mark.parametrize("msg", CORPUS + LONG_PADDING,
+                             ids=_ids(CORPUS + LONG_PADDING))
+    def test_frames_are_byte_identical_to_the_reference_assembly(self, msg):
+        frame = encode(7, msg)
+        assert type(frame) is bytes
+        assert frame == _reference_encode(7, msg)
+        assert len(frame) == msg.size_bytes()
+
+
+class TestDecodedMessagesOwnTheirBytes:
+    """The live receiver decodes in place from a buffer the next read
+    overwrites, so no decoded message may keep a view of its frame."""
+
+    @pytest.mark.parametrize("msg", CORPUS, ids=_ids(CORPUS))
+    def test_decoded_message_survives_its_buffer_being_overwritten(
+            self, msg):
+        buffer = bytearray(encode(41, msg))
+        sender, decoded = decode(memoryview(buffer))
+        buffer[:] = b"\xa5" * len(buffer)
+        assert sender == 41
+        assert decoded == msg
