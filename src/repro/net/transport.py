@@ -491,7 +491,8 @@ class Router:
 
         A broadcast sends the identical frame to n-1 peers; encoding it
         per destination made fan-out cost scale the serialization work
-        with n for no reason.  Returns the number of accepted sends.
+        with n for no reason, and it is accounted once, for every copy
+        accepted.  Returns the number of accepted sends.
         """
         if self._closed:
             return 0
@@ -504,8 +505,9 @@ class Router:
             if frame is None:
                 frame = codec.encode(self.node_id, msg)
             if peer.send(frame):
-                self.stats.record_send(msg.msg_class, len(frame))
                 accepted += 1
+        if accepted:
+            self.stats.record_send_many(msg.msg_class, len(frame), accepted)
         return accepted
 
     def backlog_seconds(self) -> float:

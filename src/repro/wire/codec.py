@@ -8,6 +8,39 @@ Frame layout (big-endian)::
     ...  body                # per-type fields; nested items length-prefixed
     ...  zero padding        # up to the cost model's wire size
 
+**One field table.**  Every structure the codec writes is one entry of
+:data:`_TABLE`: its class and its fields in wire order, each written
+``name:kind``.  A kind is
+
+* ``u8`` / ``u16`` / ``u32`` / ``u64`` / ``f64`` — a big-endian number;
+* ``bool`` — one byte; it decodes true only when it is 1;
+* ``hash`` — a 32-byte digest; ``int256`` — a 32-byte unsigned integer
+  (the threshold scheme's field elements);
+* ``bytes16`` / ``bytes32`` — a u16 / u32 length, then that many bytes;
+* the name of another entry — that structure's fields, in place;
+* ``<Name>`` — that structure as a nested blob behind a u32 length;
+
+and a trailing ``?`` makes a part optional (a u8 flag, 1 when present),
+a trailing ``*`` a list (a u32 count, or ``*u16`` for a u16 one, then
+the items).  Adding a message is one table entry, one tag in
+:data:`_TAGS` and one instance in the round-trip corpus.
+
+The table compiles into Python functions — a frame encoder and decoder
+per message, a nested-blob encoder and decoder per ``<Name>`` — whose
+source is generated from the table alone and ``exec``-ed, the way
+:mod:`dataclasses` writes ``__init__``.  Each is compiled once, on the
+first frame of its message, so importing the codec costs only the
+table's parse (compiling all of them costs ~10 ms, which the simulator,
+importing but never encoding, should not pay); ``_COMPILER.sources``
+keeps the source of each.  Each run of fixed-width fields — counts,
+lengths and flags of the part that follows included — is one
+precompiled :class:`struct.Struct`.  Decoding walks a ``memoryview`` by
+offset with ``unpack_from``, constructs every structure positionally,
+and reads a list of fixed-width records with one ``iter_unpack``; no
+call is made per field.  The messages whose ``size_bytes()`` is a
+constant (:data:`_FIXED_SIZE`) encode their whole frame — header,
+fields and padding — with a single ``Struct.pack``.
+
 **Size parity.**  The abstract cost model (:mod:`repro.messages.base`)
 prices each message as a 32-byte envelope plus its content terms; this
 codec reconciles that envelope against its actual 9 framing bytes by
@@ -24,13 +57,16 @@ bytes still cross the wire so bandwidth and backpressure are real.
 
 If a pathological message's metadata outgrows its modelled size (e.g. a
 datablock with zero requests), the frame grows past the model rather than
-truncating; decoding is always driven by the length prefix.
+truncating; decoding is always driven by the length prefix.  Decoded
+messages copy every byte they keep, so the receive buffer may be reused
+at once, and every malformed payload raises :class:`CodecError`.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import re
 import struct
-from typing import Callable
 
 from repro.crypto.keys import PlainSignature
 from repro.crypto.merkle import MerkleProof
@@ -69,7 +105,6 @@ LENGTH_PREFIX = 4
 
 _HEADER = struct.Struct("!IBI")  # payload_length, type tag, sender
 _ZERO_BLOCK = memoryview(bytes(64 * 1024))  # frame padding is cut from it
-_FIELD_BYTES = 32  # threshold-scheme field elements (256-bit prime)
 
 
 class CodecError(ValueError):
@@ -77,603 +112,451 @@ class CodecError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Primitive readers/writers
+# The table
 # ---------------------------------------------------------------------------
 
-
-class _Writer:
-    """Accumulates body bytes for one frame."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self) -> None:
-        self.parts: list[bytes] = []
-
-    def u8(self, value: int) -> None:
-        self.parts.append(value.to_bytes(1, "big"))
-
-    def u16(self, value: int) -> None:
-        self.parts.append(value.to_bytes(2, "big"))
-
-    def u32(self, value: int) -> None:
-        self.parts.append(value.to_bytes(4, "big"))
-
-    def u64(self, value: int) -> None:
-        self.parts.append(value.to_bytes(8, "big"))
-
-    def f64(self, value: float) -> None:
-        self.parts.append(struct.pack("!d", value))
-
-    def raw(self, data: bytes) -> None:
-        self.parts.append(data)
-
-    def hash32(self, data: bytes) -> None:
-        if len(data) != 32:
-            raise CodecError(f"expected a 32-byte digest, got {len(data)}")
-        self.parts.append(data)
-
-    def vbytes16(self, data: bytes) -> None:
-        self.u16(len(data))
-        self.parts.append(data)
-
-    def vbytes32(self, data: bytes) -> None:
-        self.u32(len(data))
-        self.parts.append(data)
-
-    def size(self) -> int:
-        return sum(len(part) for part in self.parts)
-
-    def body(self) -> bytes:
-        return b"".join(self.parts)
-
-
-class _Reader:
-    """Sequential reader over one frame's body."""
-
-    __slots__ = ("data", "pos")
-
-    def __init__(self, data: memoryview) -> None:
-        self.data = data
-        self.pos = 0
-
-    def _take(self, count: int) -> memoryview:
-        end = self.pos + count
-        if end > len(self.data):
-            raise CodecError("truncated frame body")
-        view = self.data[self.pos:end]
-        self.pos = end
-        return view
-
-    def u8(self) -> int:
-        return self._take(1)[0]
-
-    def u16(self) -> int:
-        return int.from_bytes(self._take(2), "big")
-
-    def u32(self) -> int:
-        return int.from_bytes(self._take(4), "big")
-
-    def u64(self) -> int:
-        return int.from_bytes(self._take(8), "big")
-
-    def f64(self) -> float:
-        return struct.unpack("!d", self._take(8))[0]
-
-    def raw(self, count: int) -> bytes:
-        return bytes(self._take(count))
-
-    def hash32(self) -> bytes:
-        return bytes(self._take(32))
-
-    def vbytes16(self) -> bytes:
-        return self.raw(self.u16())
-
-    def vbytes32(self) -> bytes:
-        return self.raw(self.u32())
-
-
-# -- shared sub-structures ---------------------------------------------------
-
-
-def _w_share(w: _Writer, share: SignatureShare) -> None:
-    w.u32(share.signer)
-    w.raw(share.value.to_bytes(_FIELD_BYTES, "big"))
-
-
-def _r_share(r: _Reader) -> SignatureShare:
-    signer = r.u32()
-    value = int.from_bytes(r.raw(_FIELD_BYTES), "big")
-    return SignatureShare(signer, value)
-
-
-def _w_tsig(w: _Writer, sig: ThresholdSignature) -> None:
-    w.raw(sig.value.to_bytes(_FIELD_BYTES, "big"))
-
-
-def _r_tsig(r: _Reader) -> ThresholdSignature:
-    return ThresholdSignature(int.from_bytes(r.raw(_FIELD_BYTES), "big"))
-
-
-def _w_plainsig(w: _Writer, sig: PlainSignature) -> None:
-    w.u32(sig.signer)
-    w.vbytes16(sig.tag)
-
-
-def _r_plainsig(r: _Reader) -> PlainSignature:
-    return PlainSignature(r.u32(), r.vbytes16())
-
-
-def _w_spans(w: _Writer, spans: tuple[BundleSpan, ...]) -> None:
-    w.u32(len(spans))
-    for span in spans:
-        w.u32(span.client_id)
-        w.u64(span.bundle_id)
-        w.u32(span.count)
-        w.f64(span.submitted_at)
-
-
-def _r_spans(r: _Reader) -> tuple[BundleSpan, ...]:
-    count = r.u32()
-    return tuple(
-        BundleSpan(r.u32(), r.u64(), r.u32(), r.f64())
-        for _ in range(count))
-
-
-def _w_merkle_proof(w: _Writer, proof: MerkleProof) -> None:
-    w.u32(proof.leaf_index)
-    w.u16(len(proof.siblings))
-    for is_right, sibling in proof.siblings:
-        w.u8(1 if is_right else 0)
-        w.hash32(sibling)
-
-
-def _r_merkle_proof(r: _Reader) -> MerkleProof:
-    leaf_index = r.u32()
-    count = r.u16()
-    siblings = tuple((r.u8() == 1, r.hash32()) for _ in range(count))
-    return MerkleProof(leaf_index, siblings)
-
-
-def _w_nested(w: _Writer,
-              encode_body: Callable[[_Writer, object], None],
-              obj) -> None:
-    """Encode ``obj`` as a u32-length-prefixed nested blob."""
-    inner = _Writer()
-    encode_body(inner, obj)
-    w.vbytes32(inner.body())
-
-
-def _read_nested(r: _Reader, decode_body: Callable[[_Reader], object]
-                 ) -> object:
-    blob = r.vbytes32()
-    return decode_body(_Reader(memoryview(blob)))
-
-
-# ---------------------------------------------------------------------------
-# Per-type body codecs
-# ---------------------------------------------------------------------------
-
-
-def _enc_request_bundle(w: _Writer, msg: RequestBundle) -> None:
-    w.u32(msg.client_id)
-    w.u64(msg.bundle_id)
-    w.u32(msg.count)
-    w.u32(msg.payload_size)
-    w.f64(msg.submitted_at)
-    w.u8(1 if msg.timeout_flagged else 0)
-    # Request payloads (count * payload_size filler); padding completes it.
-
-
-def _dec_request_bundle(r: _Reader) -> RequestBundle:
-    return RequestBundle(
-        client_id=r.u32(), bundle_id=r.u64(), count=r.u32(),
-        payload_size=r.u32(), submitted_at=r.f64(),
-        timeout_flagged=r.u8() == 1)
-
-
-def _enc_ack(w: _Writer, msg: Ack) -> None:
-    w.u32(msg.client_id)
-    w.u64(msg.bundle_id)
-    w.u32(msg.count)
-    w.f64(msg.submitted_at)
-    w.f64(msg.executed_at)
-
-
-def _dec_ack(r: _Reader) -> Ack:
-    return Ack(client_id=r.u32(), bundle_id=r.u64(), count=r.u32(),
-               submitted_at=r.f64(), executed_at=r.f64())
-
-
-def _enc_datablock_meta(w: _Writer, msg: Datablock) -> None:
-    """The datablock header (no payload bytes) — reused by ChunkResponse."""
-    w.u32(msg.creator)
-    w.u64(msg.counter)
-    w.u32(msg.request_count)
-    w.u32(msg.payload_size)
-    w.f64(msg.created_at)
-    _w_spans(w, msg.spans)
-
-
-def _dec_datablock_meta(r: _Reader) -> Datablock:
-    return Datablock(
-        creator=r.u32(), counter=r.u64(), request_count=r.u32(),
-        payload_size=r.u32(), created_at=r.f64(), spans=_r_spans(r))
-
-
-def _enc_datablock(w: _Writer, msg: Datablock) -> None:
-    _enc_datablock_meta(w, msg)
-    # body_size() filler + padding follow.
-
-
-def _enc_ready(w: _Writer, msg: Ready) -> None:
-    w.hash32(msg.block_digest)
-
-
-def _dec_ready(r: _Reader) -> Ready:
-    return Ready(r.hash32())
-
-
-def _enc_bftblock(w: _Writer, msg: BFTblock) -> None:
-    w.u64(msg.view)
-    w.u64(msg.sn)
-    w.f64(msg.proposed_at)
-    if msg.leader_share is None:
-        w.u8(0)
-    else:
-        w.u8(1)
-        _w_share(w, msg.leader_share)
-    w.u32(len(msg.links))
-    for link in msg.links:
-        w.hash32(link)
-
-
-def _dec_bftblock(r: _Reader) -> BFTblock:
-    view = r.u64()
-    sn = r.u64()
-    proposed_at = r.f64()
-    share = _r_share(r) if r.u8() == 1 else None
-    links = tuple(r.hash32() for _ in range(r.u32()))
-    return BFTblock(view=view, sn=sn, links=links, leader_share=share,
-                    proposed_at=proposed_at)
-
-
-def _enc_vote(w: _Writer, msg: Vote) -> None:
-    w.u8(msg.round)
-    w.hash32(msg.block_digest)
-    w.vbytes16(msg.signed_payload)
-    _w_share(w, msg.share)
-
-
-def _dec_vote(r: _Reader) -> Vote:
-    return Vote(round=r.u8(), block_digest=r.hash32(),
-                signed_payload=r.vbytes16(), share=_r_share(r))
-
-
-def _enc_proof(w: _Writer, msg: Proof) -> None:
-    w.u8(msg.round)
-    w.hash32(msg.block_digest)
-    w.vbytes16(msg.signed_payload)
-    _w_tsig(w, msg.signature)
-    if msg.prior_signature is None:
-        w.u8(0)
-    else:
-        w.u8(1)
-        _w_tsig(w, msg.prior_signature)
-
-
-def _dec_proof(r: _Reader) -> Proof:
-    round_ = r.u8()
-    block_digest = r.hash32()
-    signed_payload = r.vbytes16()
-    signature = _r_tsig(r)
-    prior = _r_tsig(r) if r.u8() == 1 else None
-    return Proof(round=round_, block_digest=block_digest,
-                 signed_payload=signed_payload, signature=signature,
-                 prior_signature=prior)
-
-
-def _enc_query(w: _Writer, msg: Query) -> None:
-    w.u32(len(msg.block_digests))
-    for block_digest in msg.block_digests:
-        w.hash32(block_digest)
-
-
-def _dec_query(r: _Reader) -> Query:
-    return Query(tuple(r.hash32() for _ in range(r.u32())))
-
-
-def _enc_chunk_response(w: _Writer, msg: ChunkResponse) -> None:
-    w.hash32(msg.block_digest)
-    w.hash32(msg.root)
-    w.u32(msg.chunk_index)
-    w.vbytes32(msg.chunk_data)
-    _w_merkle_proof(w, msg.proof)
-    _enc_datablock_meta(w, msg.meta)
-
-
-def _dec_chunk_response(r: _Reader) -> ChunkResponse:
-    return ChunkResponse(
-        block_digest=r.hash32(), root=r.hash32(), chunk_index=r.u32(),
-        chunk_data=r.vbytes32(), proof=_r_merkle_proof(r),
-        meta=_dec_datablock_meta(r))
-
-
-def _enc_checkpoint_share(w: _Writer, msg: CheckpointShare) -> None:
-    w.u64(msg.sn)
-    w.hash32(msg.state_digest)
-    _w_share(w, msg.share)
-
-
-def _dec_checkpoint_share(r: _Reader) -> CheckpointShare:
-    return CheckpointShare(sn=r.u64(), state_digest=r.hash32(),
-                           share=_r_share(r))
-
-
-def _enc_checkpoint_proof(w: _Writer, msg: CheckpointProof) -> None:
-    w.u64(msg.sn)
-    w.hash32(msg.state_digest)
-    _w_tsig(w, msg.signature)
-
-
-def _dec_checkpoint_proof(r: _Reader) -> CheckpointProof:
-    return CheckpointProof(sn=r.u64(), state_digest=r.hash32(),
-                           signature=_r_tsig(r))
-
-
-def _enc_timeout(w: _Writer, msg: TimeoutMsg) -> None:
-    w.u64(msg.view)
-    _w_plainsig(w, msg.signature)
-
-
-def _dec_timeout(r: _Reader) -> TimeoutMsg:
-    return TimeoutMsg(view=r.u64(), signature=_r_plainsig(r))
-
-
-def _enc_viewchange(w: _Writer, msg: ViewChangeMsg) -> None:
-    w.u64(msg.new_view)
-    if msg.checkpoint is None:
-        w.u8(0)
-    else:
-        w.u8(1)
-        _w_nested(w, _enc_checkpoint_proof, msg.checkpoint)
-    w.u32(len(msg.entries))
-    for entry in msg.entries:
-        inner = _Writer()
-        _w_nested(inner, _enc_bftblock, entry.block)
-        _w_tsig(inner, entry.notarization)
-        w.vbytes32(inner.body())
-    _w_plainsig(w, msg.signature)
-
-
-def _dec_viewchange(r: _Reader) -> ViewChangeMsg:
-    new_view = r.u64()
-    checkpoint = None
-    if r.u8() == 1:
-        checkpoint = _read_nested(r, _dec_checkpoint_proof)
-    entries = []
-    for _ in range(r.u32()):
-        inner = _Reader(memoryview(r.vbytes32()))
-        block = _read_nested(inner, _dec_bftblock)
-        notarization = _r_tsig(inner)
-        entries.append(NotarizedEntry(block, notarization))
-    signature = _r_plainsig(r)
-    return ViewChangeMsg(new_view=new_view, checkpoint=checkpoint,
-                         entries=tuple(entries), signature=signature)
-
-
-def _enc_new_view(w: _Writer, msg: NewViewMsg) -> None:
-    w.u64(msg.new_view)
-    w.u32(len(msg.view_changes))
-    for vc_msg in msg.view_changes:
-        _w_nested(w, _enc_viewchange, vc_msg)
-    w.u32(len(msg.redo))
-    for block in msg.redo:
-        _w_nested(w, _enc_bftblock, block)
-    _w_plainsig(w, msg.signature)
-
-
-def _dec_new_view(r: _Reader) -> NewViewMsg:
-    new_view = r.u64()
-    view_changes = tuple(
-        _read_nested(r, _dec_viewchange) for _ in range(r.u32()))
-    redo = tuple(_read_nested(r, _dec_bftblock) for _ in range(r.u32()))
-    signature = _r_plainsig(r)
-    return NewViewMsg(new_view=new_view, view_changes=view_changes,
-                      redo=redo, signature=signature)
-
-
-# -- PBFT --------------------------------------------------------------------
-
-
-def _enc_preprepare(w: _Writer, msg: PrePrepare) -> None:
-    w.u64(msg.view)
-    w.u64(msg.sn)
-    w.u32(msg.request_count)
-    w.u32(msg.payload_size)
-    w.f64(msg.proposed_at)
-    _w_spans(w, msg.spans)
-
-
-def _dec_preprepare(r: _Reader) -> PrePrepare:
-    return PrePrepare(
-        view=r.u64(), sn=r.u64(), request_count=r.u32(),
-        payload_size=r.u32(), proposed_at=r.f64(), spans=_r_spans(r))
-
-
-def _enc_prepare(w: _Writer, msg: Prepare) -> None:
-    w.u64(msg.view)
-    w.u64(msg.sn)
-    w.hash32(msg.block_digest)
-    w.u32(msg.voter)
-
-
-def _dec_prepare(r: _Reader) -> Prepare:
-    return Prepare(view=r.u64(), sn=r.u64(), block_digest=r.hash32(),
-                   voter=r.u32())
-
-
-def _enc_commit(w: _Writer, msg: Commit) -> None:
-    w.u64(msg.view)
-    w.u64(msg.sn)
-    w.hash32(msg.block_digest)
-    w.u32(msg.voter)
-
-
-def _dec_commit(r: _Reader) -> Commit:
-    return Commit(view=r.u64(), sn=r.u64(), block_digest=r.hash32(),
-                  voter=r.u32())
-
-
-# -- HotStuff ----------------------------------------------------------------
-
-
-def _enc_qc(w: _Writer, qc: QuorumCert) -> None:
-    w.hash32(qc.block_digest)
-    w.u64(qc.height)
-    w.u32(qc.signer_count)
-
-
-def _dec_qc(r: _Reader) -> QuorumCert:
-    return QuorumCert(block_digest=r.hash32(), height=r.u64(),
-                      signer_count=r.u32())
-
-
-def _enc_hsblock(w: _Writer, msg: HSBlock) -> None:
-    w.u64(msg.height)
-    w.hash32(msg.parent_digest)
-    if msg.justify is None:
-        w.u8(0)
-    else:
-        w.u8(1)
-        _w_nested(w, _enc_qc, msg.justify)
-    w.u32(msg.request_count)
-    w.u32(msg.payload_size)
-    w.f64(msg.proposed_at)
-    _w_spans(w, msg.spans)
-
-
-def _dec_hsblock(r: _Reader) -> HSBlock:
-    height = r.u64()
-    parent = r.hash32()
-    justify = _read_nested(r, _dec_qc) if r.u8() == 1 else None
-    return HSBlock(
-        height=height, parent_digest=parent, justify=justify,
-        request_count=r.u32(), payload_size=r.u32(), proposed_at=r.f64(),
-        spans=_r_spans(r))
-
-
-def _enc_hsvote(w: _Writer, msg: HSVote) -> None:
-    w.u64(msg.height)
-    w.hash32(msg.block_digest)
-    w.u32(msg.voter)
-
-
-def _dec_hsvote(r: _Reader) -> HSVote:
-    return HSVote(height=r.u64(), block_digest=r.hash32(), voter=r.u32())
-
-
-def _enc_hsnewview(w: _Writer, msg: HSNewView) -> None:
-    w.u64(msg.view)
-    if msg.high_qc is None:
-        w.u8(0)
-    else:
-        w.u8(1)
-        _w_nested(w, _enc_qc, msg.high_qc)
-
-
-def _dec_hsnewview(r: _Reader) -> HSNewView:
-    view = r.u64()
-    high_qc = _read_nested(r, _dec_qc) if r.u8() == 1 else None
-    return HSNewView(view=view, high_qc=high_qc)
-
-
-# -- Recovery ----------------------------------------------------------------
-
-
-def _enc_state_request(w: _Writer, msg: StateRequest) -> None:
-    w.u64(msg.start_sn)
-    w.u64(msg.end_sn)
-
-
-def _dec_state_request(r: _Reader) -> StateRequest:
-    return StateRequest(start_sn=r.u64(), end_sn=r.u64())
-
-
-def _enc_state_snapshot(w: _Writer, msg: StateSnapshot) -> None:
-    w.u64(msg.last_executed)
-    w.hash32(msg.state_digest)
-    if msg.checkpoint is None:
-        w.u8(0)
-    else:
-        w.u8(1)
-        _w_nested(w, _enc_checkpoint_proof, msg.checkpoint)
-
-
-def _dec_state_snapshot(r: _Reader) -> StateSnapshot:
-    last_executed = r.u64()
-    state_digest = r.hash32()
-    checkpoint = _read_nested(r, _dec_checkpoint_proof) \
-        if r.u8() == 1 else None
-    return StateSnapshot(last_executed=last_executed,
-                         state_digest=state_digest, checkpoint=checkpoint)
-
-
-def _enc_ledger_segment(w: _Writer, msg: LedgerSegment) -> None:
-    w.u64(msg.start_sn)
-    w.u32(len(msg.entries))
-    for entry in msg.entries:
-        w.u64(entry.sn)
-        w.hash32(entry.digest)
-        w.u32(entry.request_count)
-
-
-def _dec_ledger_segment(r: _Reader) -> LedgerSegment:
-    start_sn = r.u64()
-    entries = tuple(
-        SegmentEntry(sn=r.u64(), digest=r.hash32(), request_count=r.u32())
-        for _ in range(r.u32()))
-    return LedgerSegment(start_sn=start_sn, entries=entries)
-
-
-# ---------------------------------------------------------------------------
-# Registry
-# ---------------------------------------------------------------------------
-
-#: tag -> (message class, encode_body, decode_body).  Tags are wire ABI:
-#: never renumber an existing entry, only append.
-_REGISTRY: dict[int, tuple[type, Callable, Callable]] = {
-    1: (RequestBundle, _enc_request_bundle, _dec_request_bundle),
-    2: (Ack, _enc_ack, _dec_ack),
-    3: (Datablock, _enc_datablock, _dec_datablock_meta),
-    4: (Ready, _enc_ready, _dec_ready),
-    5: (BFTblock, _enc_bftblock, _dec_bftblock),
-    6: (Vote, _enc_vote, _dec_vote),
-    7: (Proof, _enc_proof, _dec_proof),
-    8: (Query, _enc_query, _dec_query),
-    9: (ChunkResponse, _enc_chunk_response, _dec_chunk_response),
-    10: (CheckpointShare, _enc_checkpoint_share, _dec_checkpoint_share),
-    11: (CheckpointProof, _enc_checkpoint_proof, _dec_checkpoint_proof),
-    12: (TimeoutMsg, _enc_timeout, _dec_timeout),
-    13: (ViewChangeMsg, _enc_viewchange, _dec_viewchange),
-    14: (NewViewMsg, _enc_new_view, _dec_new_view),
-    20: (PrePrepare, _enc_preprepare, _dec_preprepare),
-    21: (Prepare, _enc_prepare, _dec_prepare),
-    22: (Commit, _enc_commit, _dec_commit),
-    30: (HSBlock, _enc_hsblock, _dec_hsblock),
-    31: (HSVote, _enc_hsvote, _dec_hsvote),
-    32: (HSNewView, _enc_hsnewview, _dec_hsnewview),
-    40: (StateRequest, _enc_state_request, _dec_state_request),
-    41: (StateSnapshot, _enc_state_snapshot, _dec_state_snapshot),
-    42: (LedgerSegment, _enc_ledger_segment, _dec_ledger_segment),
+#: Every structure the codec writes, with its fields in wire order.
+_TABLE = {
+    # -- parts carried inside messages
+    BundleSpan: "client_id:u32 bundle_id:u64 count:u32 submitted_at:f64",
+    SignatureShare: "signer:u32 value:int256",
+    ThresholdSignature: "value:int256",
+    PlainSignature: "signer:u32 tag:bytes16",
+    tuple: "is_right:bool sibling:hash",  # one step of a Merkle path
+    MerkleProof: "leaf_index:u32 siblings:tuple*u16",
+    QuorumCert: "block_digest:hash height:u64 signer_count:u32",
+    NotarizedEntry: "block:<BFTblock> notarization:ThresholdSignature",
+    SegmentEntry: "sn:u64 digest:hash request_count:u32",
+    # -- client
+    RequestBundle: ("client_id:u32 bundle_id:u64 count:u32 payload_size:u32"
+                    " submitted_at:f64 timeout_flagged:bool"),
+    Ack: ("client_id:u32 bundle_id:u64 count:u32 submitted_at:f64"
+          " executed_at:f64"),
+    # -- Leopard (request payloads and padding follow the fields)
+    Datablock: ("creator:u32 counter:u64 request_count:u32 payload_size:u32"
+                " created_at:f64 spans:BundleSpan*"),
+    Ready: "block_digest:hash",
+    BFTblock: ("view:u64 sn:u64 proposed_at:f64 leader_share:SignatureShare?"
+               " links:hash*"),
+    Vote: ("round:u8 block_digest:hash signed_payload:bytes16"
+           " share:SignatureShare"),
+    Proof: ("round:u8 block_digest:hash signed_payload:bytes16"
+            " signature:ThresholdSignature"
+            " prior_signature:ThresholdSignature?"),
+    Query: "block_digests:hash*",
+    ChunkResponse: ("block_digest:hash root:hash chunk_index:u32"
+                    " chunk_data:bytes32 proof:MerkleProof meta:Datablock"),
+    CheckpointShare: "sn:u64 state_digest:hash share:SignatureShare",
+    CheckpointProof: "sn:u64 state_digest:hash signature:ThresholdSignature",
+    TimeoutMsg: "view:u64 signature:PlainSignature",
+    ViewChangeMsg: ("new_view:u64 checkpoint:<CheckpointProof>?"
+                    " entries:<NotarizedEntry>* signature:PlainSignature"),
+    NewViewMsg: ("new_view:u64 view_changes:<ViewChangeMsg>*"
+                 " redo:<BFTblock>* signature:PlainSignature"),
+    # -- PBFT
+    PrePrepare: ("view:u64 sn:u64 request_count:u32 payload_size:u32"
+                 " proposed_at:f64 spans:BundleSpan*"),
+    Prepare: "view:u64 sn:u64 block_digest:hash voter:u32",
+    Commit: "view:u64 sn:u64 block_digest:hash voter:u32",
+    # -- HotStuff
+    HSBlock: ("height:u64 parent_digest:hash justify:<QuorumCert>?"
+              " request_count:u32 payload_size:u32 proposed_at:f64"
+              " spans:BundleSpan*"),
+    HSVote: "height:u64 block_digest:hash voter:u32",
+    HSNewView: "view:u64 high_qc:<QuorumCert>?",
+    # -- recovery
+    StateRequest: "start_sn:u64 end_sn:u64",
+    StateSnapshot: ("last_executed:u64 state_digest:hash"
+                    " checkpoint:<CheckpointProof>?"),
+    LedgerSegment: "start_sn:u64 entries:SegmentEntry*",
 }
 
-_TAG_BY_TYPE: dict[type, int] = {
-    cls: tag for tag, (cls, _, _) in _REGISTRY.items()}
+#: Wire type tag of every message.  Tags are wire ABI: never renumber an
+#: existing entry, only append.
+_TAGS = {
+    RequestBundle: 1, Ack: 2, Datablock: 3, Ready: 4, BFTblock: 5, Vote: 6,
+    Proof: 7, Query: 8, ChunkResponse: 9, CheckpointShare: 10,
+    CheckpointProof: 11, TimeoutMsg: 12, ViewChangeMsg: 13, NewViewMsg: 14,
+    PrePrepare: 20, Prepare: 21, Commit: 22,
+    HSBlock: 30, HSVote: 31, HSNewView: 32,
+    StateRequest: 40, StateSnapshot: 41, LedgerSegment: 42,
+}
+
+#: Messages whose ``size_bytes()`` is a constant: one ``Struct.pack``
+#: writes each whole frame, header and padding included.
+_FIXED_SIZE = (Ready, Ack, HSVote, Prepare, Commit, CheckpointShare,
+               CheckpointProof, StateRequest)
+
+#: Fixed-width kinds: format when encoding, format when decoding, and the
+#: expression packed for field ``{0}`` / built from unpacked ``{0}``.
+_FIXED = {
+    "u8": ("B", "B", "{0}", "{0}"),
+    "u16": ("H", "H", "{0}", "{0}"),
+    "u32": ("I", "I", "{0}", "{0}"),
+    "u64": ("Q", "Q", "{0}", "{0}"),
+    "f64": ("d", "d", "{0}", "{0}"),
+    "bool": ("?", "B", "{0}", "{0} == 1"),
+    "hash": ("32s", "32s", "({0} if len({0}) == 32 else _bad_digest({0}))",
+             "{0}"),
+    "int256": ("32s", "32s", "{0}.to_bytes(32, 'big')",
+               "_from_bytes({0}, 'big')"),
+}
+
+#: Length-prefixed byte strings: the format of their length.
+_BYTES = {"bytes16": "H", "bytes32": "I"}
+
+_FIELD = re.compile(r"(\w+):(<?)(\w+)>?([?*]?)(\w*)$")
+
+
+def _bad_digest(value: bytes) -> bytes:
+    raise CodecError(f"expected a 32-byte digest, got {len(value)}")
+
+
+# ---------------------------------------------------------------------------
+# The compiler: table -> generated encoders and decoders
+# ---------------------------------------------------------------------------
+
+
+class _Compiler:
+    """The parsed table and the namespace the generated code runs in."""
+
+    def __init__(self) -> None:
+        self.classes = {cls.__name__: cls for cls in _TABLE}
+        self.fields = {cls.__name__: [_parse(item) for item in spec.split()]
+                       for cls, spec in _TABLE.items()}
+        self.namespace = {
+            "CodecError": CodecError, "_ZERO_BLOCK": _ZERO_BLOCK,
+            "_bad_digest": _bad_digest, "_from_bytes": int.from_bytes,
+            **self.classes}
+        self.structs: dict[str, str] = {}
+        self.sources: dict[str, str] = {}  # generated so far, by name
+
+    def define(self, function: _Function):
+        """Compile ``function`` — after each nested-blob function it calls
+        that is not compiled yet — and return it."""
+        for kind in function.calls:
+            if function.nested.format(kind) not in self.namespace:
+                self.define(type(function)(self, kind))
+        source = self.sources[function.name] = "\n".join(function.lines)
+        exec(compile(source, f"<codec {function.name}>", "exec"),
+             self.namespace)
+        return self.namespace[function.name]
+
+    def struct(self, fmt: str) -> str:
+        """The name of the precompiled ``Struct`` for ``fmt``."""
+        name = self.structs.get(fmt)
+        if name is None:
+            name = self.structs[fmt] = f"_S{len(self.structs)}"
+            self.namespace[name] = struct.Struct("!" + fmt)
+        return name
+
+    def zero(self, name: str):
+        """An all-zero instance of a fixed-width structure."""
+        zeros = {"f64": 0.0, "bool": False, "hash": bytes(32)}
+        return self.classes[name](**{
+            field: zeros.get(kind, 0) if kind in _FIXED else self.zero(kind)
+            for field, _, kind, _, _ in self.fields[name]})
+
+    def construct(self, name: str, args: list[str]) -> str:
+        """A positional constructor call from args in wire order."""
+        if name == "tuple":
+            return "(" + "".join(f"{arg}, " for arg in args) + ")"
+        by_field = dict(zip((f[0] for f in self.fields[name]), args))
+        order = [f.name for f in dataclasses.fields(self.classes[name])
+                 if f.init]
+        if sorted(order) != sorted(by_field):
+            raise TypeError(f"table fields of {name} are not {order}")
+        return f"{name}({', '.join(by_field[field] for field in order)})"
+
+
+def _parse(item: str) -> tuple[str, bool, str, str, str]:
+    """``name:kind`` -> (name, nested, kind, modifier, count format)."""
+    field, nested, kind, mod, width = _FIELD.match(item).groups()
+    return field, bool(nested), kind, mod, _FIXED[width or "u32"][1]
+
+
+def _size(run: list) -> int:
+    return struct.calcsize("!" + "".join(fmt for fmt, _ in run))
+
+
+class _Function:
+    """The source of one generated function and its pending fixed run:
+    ``(format, expression)`` pairs when encoding, ``(format, local)``
+    when decoding."""
+
+    nested = ""  # name of the function for a nested blob of structure {}
+
+    def __init__(self, compiler: _Compiler, name: str, params: str,
+                 head: list) -> None:
+        self.compiler = compiler
+        self.name = name
+        self.lines = [f"def {name}({params}):"]
+        self.calls: set[str] = set()  # structures read or written nested
+        self.depth = 1
+        self.locals = 0
+        self.run = list(head)
+
+    def call(self, kind: str, arg: str) -> str:
+        self.calls.add(kind)
+        return f"{self.nested.format(kind)}({arg})"
+
+    def emit(self, line: str) -> None:
+        self.lines.append("    " * self.depth + line)
+
+    def local(self) -> str:
+        self.locals += 1
+        return f"_{self.locals}"
+
+    def record(self, kind: str, *obj: str) -> tuple[list, str | None]:
+        """The run and value of one fixed-width list item or option."""
+        saved, self.run = self.run, []
+        lines = len(self.lines)
+        value = self.part(False, kind, *obj)
+        if len(self.lines) != lines:
+            raise TypeError(f"{kind} is not fixed-width")
+        run, self.run = self.run, saved
+        return run, value
+
+
+class _Encoder(_Function):
+    """``_frame_X(sender, m)`` (whole frame) or ``_blob_X(m)`` (u32
+    length + body): runs packed, variable parts computed first and
+    joined in between."""
+
+    nested = "_blob_{}"
+
+    def __init__(self, compiler: _Compiler, name: str,
+                 tag: int | None = None) -> None:
+        fixed = compiler.classes[name] in _FIXED_SIZE and tag is not None
+        if tag is None:
+            super().__init__(compiler, self.nested.format(name), "m",
+                             [("I", "body")])
+        else:
+            size = compiler.zero(name).size_bytes() if fixed else None
+            super().__init__(compiler, f"_frame_{name}", "sender, m", [
+                ("I", f"{size - LENGTH_PREFIX}" if fixed
+                 else f"{_HEADER.size - LENGTH_PREFIX} + body + pad"),
+                ("B", f"{tag}"), ("I", "sender")])
+        head = list(self.run)
+        self.pieces: list = []  # runs, and the locals of variable parts
+        self.write(name, "m")
+        self.pieces.append(self.run)
+        variable = [p for p in self.pieces if isinstance(p, str)]
+        static = sum(_size(p) for p in self.pieces if isinstance(p, list))
+        static -= _size(head)
+        if fixed:
+            padding = size - _HEADER.size - static
+            if variable or padding < 0:
+                raise TypeError(f"{name} is not fixed-size")
+            self.run.append((f"{padding}x", None))
+            self.emit(f"return {self.pack(self.run)}")
+            return
+        parts = ", ".join(p if isinstance(p, str) else self.pack(p)
+                          for p in self.pieces if p)
+        self.emit(" + ".join([f"body = {static}"]
+                             + [f"len({p})" for p in variable]))
+        if tag is None:
+            self.emit(f'return b"".join([{parts}])' if variable
+                      else f"return {parts}")
+            return
+        self.emit(f"pad = m.size_bytes() - {_HEADER.size} - body")
+        self.emit("if pad < 0:")
+        self.emit("    pad = 0")
+        self.emit(f"parts = [{parts}]")
+        self.emit("if pad:")
+        self.emit(f"    whole, rest = divmod(pad, {len(_ZERO_BLOCK)})")
+        self.emit("    parts += [_ZERO_BLOCK] * whole")
+        self.emit("    parts.append(_ZERO_BLOCK[:rest])")
+        self.emit('return b"".join(parts)')
+
+    def pack(self, run: list) -> str:
+        fmt = "".join(fmt for fmt, _ in run)
+        args = ", ".join(expr for _, expr in run if expr is not None)
+        return f"{self.compiler.struct(fmt)}.pack({args})"
+
+    def add(self, expr: str, length: str | None = None) -> None:
+        """A variable part, after the current run (which ends with its
+        ``length`` if it has one)."""
+        local = self.local()
+        self.emit(f"{local} = {expr}")
+        if length:
+            self.run.append((length, f"len({local})"))
+        self.pieces += [self.run, local]
+        self.run = []
+
+    def part(self, nested: bool, kind: str, obj: str) -> None:
+        if nested:
+            self.add(self.call(kind, obj))
+        elif kind in _BYTES:
+            self.add(obj, _BYTES[kind])
+        elif kind in _FIXED:
+            self.run.append((_FIXED[kind][0], _FIXED[kind][2].format(obj)))
+        else:
+            self.write(kind, obj)
+
+    def write(self, name: str, obj: str) -> None:
+        for index, (field, nested, kind, mod, width) in enumerate(
+                self.compiler.fields[name]):
+            value = f"{obj}[{index}]" if name == "tuple" else f"{obj}.{field}"
+            if mod == "*":
+                self.run.append((width, f"len({value})"))
+                if nested:
+                    self.calls.add(kind)
+                    blob = self.nested.format(kind)
+                    self.add(f'b"".join(map({blob}, {value}))')
+                else:
+                    item = self.pack(self.record(kind, "r")[0])
+                    self.add(f'b"".join([{item} for r in {value}])')
+            elif mod == "?":
+                self.run.append(("?", f"{value} is not None"))
+                content = (self.call(kind, value) if nested
+                           else self.pack(self.record(kind, value)[0]))
+                self.add(f'b"" if {value} is None else {content}')
+            else:
+                self.part(nested, kind, value)
+
+
+class _Decoder(_Function):
+    """``_read_frame_X(v)`` -> ``(sender, msg)`` from a payload, or
+    ``_read_X(v)`` -> msg from a nested blob: one ``unpack_from`` per
+    run, at a constant offset until the first variable part and at ``o``
+    after it; every variable part is bounds-checked before it is read."""
+
+    nested = "_read_{}"
+
+    def __init__(self, compiler: _Compiler, name: str,
+                 frame: bool = False) -> None:
+        if frame:
+            super().__init__(compiler, f"_read_frame_{name}", "v",
+                             [("x", None), ("I", "sender")])
+        else:
+            super().__init__(compiler, self.nested.format(name), "v", [])
+        self.pos: int | None = 0  # constant offset, None once it is ``o``
+        value = self.read(name)
+        self.flush()
+        if self.lines[-1].startswith("    o "):
+            self.lines.pop()  # nothing reads past the last part
+        self.emit(f"return sender, {value}" if frame else f"return {value}")
+
+    def take(self, fmt: str) -> str:
+        local = self.local()
+        self.run.append((fmt, local))
+        return local
+
+    def flush(self) -> None:
+        if not self.run:
+            return
+        fmt = "".join(fmt for fmt, _ in self.run)
+        targets = "".join(f"{local}, " for _, local in self.run if local)
+        offset = "o" if self.pos is None else self.pos
+        self.emit(f"{targets}= {self.compiler.struct(fmt)}"
+                  f".unpack_from(v, {offset})")
+        if self.pos is None:
+            self.emit(f"o += {_size(self.run)}")
+        else:
+            self.pos += _size(self.run)
+        self.run = []
+
+    def dynamic(self) -> None:
+        """Read everything pending; from here on the offset is ``o``."""
+        self.flush()
+        if self.pos is not None:
+            self.emit(f"o = {self.pos}")
+            self.pos = None
+
+    def span(self, length: str) -> None:
+        """Check that ``length`` bytes follow; they are ``v[o:e]``."""
+        self.dynamic()
+        self.emit(f"e = o + {length}")
+        self.emit("if e > len(v):")
+        self.emit('    raise CodecError("truncated frame body")')
+
+    def blob(self) -> str:
+        """A view of the next u32-length-prefixed bytes."""
+        self.span(self.take("I"))
+        local = self.local()
+        self.emit(f"{local} = v[o:e]")
+        self.emit("o = e")
+        return local
+
+    def part(self, nested: bool, kind: str) -> str:
+        if nested:
+            return self.call(kind, self.blob())
+        if kind in _BYTES:
+            self.span(self.take(_BYTES[kind]))
+            local = self.local()
+            self.emit(f"{local} = bytes(v[o:e])")
+            self.emit("o = e")
+            return local
+        if kind in _FIXED:
+            return _FIXED[kind][3].format(self.take(_FIXED[kind][1]))
+        return self.read(kind)
+
+    def read(self, name: str) -> str:
+        args = []
+        for _, nested, kind, mod, width in self.compiler.fields[name]:
+            if mod == "*" and nested:
+                count, items = self.take(width), self.local()
+                self.dynamic()
+                self.emit(f"{items} = []")
+                self.emit(f"for _ in range({count}):")
+                self.depth += 1
+                self.emit(f"{items}.append({self.call(kind, self.blob())})")
+                self.depth -= 1
+                args.append(f"tuple({items})")
+            elif mod == "*":
+                count = self.take(width)
+                run, item = self.record(kind)
+                self.span(f"{_size(run)} * {count}")
+                items = self.local()
+                targets = "".join(f"{local}, " for _, local in run)
+                unpack = self.compiler.struct("".join(f for f, _ in run))
+                self.emit(f"{items} = tuple([{item} for {targets}in "
+                          f"{unpack}.iter_unpack(v[o:e])])")
+                self.emit("o = e")
+                args.append(items)
+            elif mod == "?":
+                flag, value = self.take("B"), self.local()
+                self.dynamic()
+                self.emit(f"if {flag} == 1:")
+                self.depth += 1
+                content = self.part(nested, kind)
+                self.flush()
+                self.emit(f"{value} = {content}")
+                self.depth -= 1
+                self.emit("else:")
+                self.emit(f"    {value} = None")
+                args.append(value)
+            else:
+                args.append(self.part(nested, kind))
+        return self.compiler.construct(name, args)
+
+
+class _Compiled(dict):
+    """Frame functions by message class or tag, each generated and
+    compiled on its first lookup: importing the codec stays cheap, and a
+    process that never touches a frame (the simulator) compiles none."""
+
+    def __init__(self, generate) -> None:
+        super().__init__()
+        self.generate = generate
+
+    def __missing__(self, key):
+        function = self[key] = _COMPILER.define(self.generate(key))
+        return function
+
+
+_COMPILER = _Compiler()
+_TYPES = {tag: cls for cls, tag in _TAGS.items()}
+_ENCODERS = _Compiled(
+    lambda cls: _Encoder(_COMPILER, cls.__name__, _TAGS[cls]))
+_DECODERS = _Compiled(
+    lambda tag: _Decoder(_COMPILER, _TYPES[tag].__name__, frame=True))
 
 
 def registered_message_types() -> dict[type, int]:
     """Every encodable message class and its wire type tag."""
-    return dict(_TAG_BY_TYPE)
+    return dict(_TAGS)
 
 
 # ---------------------------------------------------------------------------
@@ -688,23 +571,16 @@ def encode(sender: int, msg) -> bytes:
     wire size — whenever the encoded fields fit within it (they do for all
     protocol-generated messages); otherwise the frame grows past the model.
     """
-    tag = _TAG_BY_TYPE.get(type(msg))
-    if tag is None:
-        raise CodecError(f"unregistered message type {type(msg).__name__}")
-    writer = _Writer()
-    _REGISTRY[tag][1](writer, msg)
-    parts = writer.parts
-    body_size = writer.size()
-    padding = msg.size_bytes() - _HEADER.size - body_size
-    if padding > 0:
-        # Views of one zero block: the join below is the frame's only
-        # frame-sized allocation.
-        whole, rest = divmod(padding, len(_ZERO_BLOCK))
-        parts.extend([_ZERO_BLOCK] * whole)
-        parts.append(_ZERO_BLOCK[:rest])
-        body_size += padding
-    payload_length = _HEADER.size - LENGTH_PREFIX + body_size
-    return b"".join([_HEADER.pack(payload_length, tag, sender), *parts])
+    try:
+        frame = _ENCODERS[type(msg)]
+    except KeyError:
+        raise CodecError(
+            f"unregistered message type {type(msg).__name__}") from None
+    try:
+        return frame(sender, msg)
+    except (struct.error, OverflowError) as exc:
+        raise CodecError(f"cannot encode {type(msg).__name__}: {exc}") \
+            from exc
 
 
 def decode_payload(payload: bytes | memoryview) -> tuple[int, object]:
@@ -715,20 +591,15 @@ def decode_payload(payload: bytes | memoryview) -> tuple[int, object]:
     view = memoryview(payload)
     if len(view) < _HEADER.size - LENGTH_PREFIX:
         raise CodecError("frame shorter than its header")
-    tag = view[0]
-    sender = int.from_bytes(view[1:5], "big")
-    entry = _REGISTRY.get(tag)
-    if entry is None:
-        raise CodecError(f"unknown message type tag {tag}")
-    reader = _Reader(view[_HEADER.size - LENGTH_PREFIX:])
     try:
-        msg = entry[2](reader)
-    except CodecError:
-        raise
-    except (ValueError, struct.error, OverflowError) as exc:
-        raise CodecError(f"malformed {entry[0].__name__} frame: {exc}") \
-            from exc
-    return sender, msg
+        read = _DECODERS[view[0]]
+    except KeyError:
+        raise CodecError(f"unknown message type tag {view[0]}") from None
+    try:
+        return read(view)
+    except struct.error as exc:
+        raise CodecError(f"malformed {_TYPES[view[0]].__name__} frame: "
+                         f"{exc}") from exc
 
 
 def decode(frame: bytes | memoryview) -> tuple[int, object]:

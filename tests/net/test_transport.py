@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.messages.client import RequestBundle
-from repro.messages.leopard import Ready
+from repro.crypto.threshold import SignatureShare
+from repro.messages.leopard import Ready, Vote
 from repro.net import transport as transport_mod
 from repro.net.shaping import LinkPolicy, LinkShaper
 from repro.net.transport import Listener, PeerConnection, Router
@@ -462,6 +463,45 @@ class TestSendMany:
         assert accepted == 0
         assert unroutable == 2
         assert calls["count"] == 0
+
+    @pytest.mark.parametrize("dests", [(1, 2, 3), (1, 9, 2, 3)],
+                             ids=["all-routable", "one-unroutable"])
+    def test_broadcast_is_accounted_once_for_every_accepted_copy(
+            self, monkeypatch, dests):
+        """One ``record_send_many`` per broadcast leaves the per-class
+        counters where one ``record_send`` per accepted copy left them."""
+        records = []
+        real_record = NicStats.record_send_many
+
+        def counting_record(stats, msg_class, size, count):
+            records.append((msg_class, size, count))
+            real_record(stats, msg_class, size, count)
+
+        msg = Vote(1, DIGEST, DIGEST2, SignatureShare(2, 5))
+        frame_size = len(codec.encode(0, msg))
+
+        async def scenario():
+            book: dict[int, tuple[str, int]] = {}
+            routers = [Router(dest, book) for dest in (0, 1, 2, 3)]
+            for router in routers:
+                await router.start(lambda *a: None)
+            monkeypatch.setattr(NicStats, "record_send_many",
+                                counting_record)
+            accepted = routers[0].send_many(dests, msg)
+            monkeypatch.undo()
+            stats = routers[0].stats
+            counters = (stats.sent_bytes, stats.sent_msgs,
+                        routers[0].unroutable_frames)
+            for router in routers:
+                await router.close()
+            return accepted, counters
+
+        accepted, (sent_bytes, sent_msgs, unroutable) = run(scenario())
+        assert accepted == 3
+        assert unroutable == len(dests) - 3
+        assert records == [("vote", frame_size, 3)]
+        assert sent_bytes == {"vote": 3 * frame_size}
+        assert sent_msgs == {"vote": 3}
 
 
 class TestShapedLinks:

@@ -40,12 +40,12 @@ from repro.messages.recovery import (
 )
 from repro.wire import (
     CodecError,
-    codec,
     decode,
     encode,
     registered_message_types,
 )
 from repro.wire.codec import LENGTH_PREFIX
+from tests.wire import codec_oracle
 
 DIGEST = bytes(range(32))
 DIGEST2 = bytes(reversed(range(32)))
@@ -203,20 +203,6 @@ class TestFraming:
         assert decoded_db.body() == datablock.body()
 
 
-def _reference_encode(sender: int, msg) -> bytes:
-    """The frame assembly ``encode`` replaced: a joined body, padding
-    appended to it, then the header concatenated in front."""
-    tag = codec._TAG_BY_TYPE[type(msg)]
-    writer = codec._Writer()
-    codec._REGISTRY[tag][1](writer, msg)
-    body = writer.body()
-    padding = msg.size_bytes() - codec._HEADER.size - len(body)
-    if padding > 0:
-        body += bytes(padding)
-    payload_length = codec._HEADER.size - LENGTH_PREFIX + len(body)
-    return codec._HEADER.pack(payload_length, tag, sender) + body
-
-
 #: Messages padded by more than one of the encoder's zero blocks.
 LONG_PADDING = [
     RequestBundle(8, 4, 2000, 128, 0.5),
@@ -230,7 +216,7 @@ class TestFrameAssembly:
     def test_frames_are_byte_identical_to_the_reference_assembly(self, msg):
         frame = encode(7, msg)
         assert type(frame) is bytes
-        assert frame == _reference_encode(7, msg)
+        assert frame == codec_oracle.encode(7, msg)
         assert len(frame) == msg.size_bytes()
 
 
