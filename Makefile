@@ -27,15 +27,16 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 LIVE_PROTOCOLS := leopard pbft hotstuff
-SMOKE_ARGS := --duration 3 --rate 2000 --bundle-size 100 --min-committed 1
+SMOKE_ARGS := --duration 3 --rate 2000 --bundle-size 100 --clients 1 \
+	--min-committed 1
 # The crash-recover scenario restarts the victim at t=2.2; it needs a
 # longer run than the other smokes to complete a verified catch-up.
-RECOVERY_ARGS := --duration 4 --rate 2000 --bundle-size 100 \
+RECOVERY_ARGS := --duration 4 --rate 2000 --bundle-size 100 --clients 1 \
 	--min-committed 1
 
 .PHONY: lint test bench-micro bench-micro-full bench-sim bench-sim-full \
 	ledger-smoke live-smoke live-smoke-all calibrate-smoke chaos-smoke \
-	calibrate-faulted trace-smoke expt-smoke recovery-smoke check
+	calibrate-faulted trace-smoke expt-smoke recovery-smoke golden check
 
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \
@@ -46,6 +47,11 @@ lint:
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+# Re-record the simulator reports tests/golden/ pins (name each rewritten
+# file and the reason in the change description).
+golden:
+	$(PYTHON) tests/golden/test_golden.py
 
 bench-micro:
 	$(PYTHON) benchmarks/run_micro.py --mode smoke --check
@@ -68,7 +74,7 @@ ledger-smoke:
 
 live-smoke:
 	$(PYTHON) -m repro.harness.cli run-live --replicas 4 --clients 1 \
-		--duration 5 --min-committed 1
+		--duration 5 --rate 4000 --bundle-size 200 --min-committed 1
 
 live-smoke-all:
 	@mkdir -p artifacts
@@ -90,8 +96,8 @@ calibrate-smoke:
 	@for proto in $(LIVE_PROTOCOLS); do \
 		echo "== calibrate $$proto =="; \
 		$(PYTHON) -m repro.harness.cli calibrate --protocol $$proto \
-			--duration 1.5 --rate 2000 --bundle-size 100 \
-			--min-committed 1 \
+			--duration 1.5 --warmup 0.25 --rate 2000 \
+			--bundle-size 100 --min-committed 1 \
 			--output artifacts/calibration_$$proto.json \
 			|| exit 1; \
 	done
@@ -120,8 +126,8 @@ chaos-smoke:
 calibrate-faulted:
 	@mkdir -p artifacts
 	$(PYTHON) -m repro.harness.cli calibrate --protocol leopard \
-		--scenario crash-restart --duration 1.5 --rate 2000 \
-		--bundle-size 100 --min-committed 1 \
+		--scenario crash-restart --duration 1.5 --warmup 0.25 \
+		--rate 2000 --bundle-size 100 --min-committed 1 \
 		--max-degradation-gap 3.0 \
 		--output artifacts/calibration_faulted_leopard.json
 
@@ -141,7 +147,7 @@ trace-smoke:
 		--output artifacts/trace_leopard_sim.json
 	@echo "== trace-smoke leopard (live, processes) =="
 	$(PYTHON) -m repro.harness.cli trace --backend live --processes \
-		--duration 2 --rate 2000 --bundle-size 100 \
+		--duration 2 --rate 2000 --bundle-size 100 --clients 1 \
 		--require-request \
 		--chrome artifacts/trace_leopard_processes.trace.json \
 		--output artifacts/trace_leopard_processes.json
@@ -197,7 +203,7 @@ recovery-smoke:
 calibrate-sweep:
 	@mkdir -p artifacts
 	$(PYTHON) -m repro.harness.cli calibrate --sweep --apply-presets \
-		--duration 1.0 --min-committed 1 \
+		--duration 1.0 --warmup 0.25 --min-committed 1 \
 		--output artifacts/calibration_sweep_leopard.json
 
 check: lint test bench-micro bench-sim ledger-smoke live-smoke-all \

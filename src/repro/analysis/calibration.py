@@ -205,54 +205,38 @@ def _delta(live_value: float, sim_value: float) -> dict:
             "ratio_live_over_sim": ratio}
 
 
-def compare_live_sim(protocol: str = "leopard", n: int = 4,
-                     total_rate: float = 2000.0, payload_size: int = 128,
-                     duration: float = 2.0, bundle_size: int = 100,
-                     datablock_size: int = 100, seed: int = 0,
-                     warmup: float = 0.25,
-                     costs: CostModel = DEFAULT_COSTS,
-                     scenario=None) -> dict:
-    """Run one (protocol, n, rate, payload) point under both backends.
+def compare_live_sim(spec, costs: CostModel = DEFAULT_COSTS) -> dict:
+    """Run one :class:`repro.harness.spec.RunSpec` under both backends.
 
-    The same protocol configuration (the live smoke config, so both
-    backends batch and pace identically), offered load, payload and
-    measurement conventions are executed twice: once on the discrete-event
-    simulator against the modelled NICs/CPUs, once on the live asyncio
+    The same point — the protocol's live configuration and client
+    topology, offered load, payload and measurement window — is
+    executed twice: once on the discrete-event simulator against the
+    modelled NICs/CPUs (under ``costs``), once on the live asyncio
     runtime against real localhost sockets.  The returned reconciliation
     report embeds both :func:`repro.stats.standard_report` dicts and the
     throughput/latency deltas between them, next to the calibration
     constants those deltas would retune — the ROADMAP's live-vs-sim
     calibration study as a repeatable scenario.
 
-    With a chaos ``scenario`` (:class:`repro.net.chaos.ChaosScenario`),
-    *both* backends execute the same scripted fault timeline — crashes,
-    restarts, partitions — so the comparison point is a degraded run
-    rather than a clean one (the run is extended to cover the last
-    event).  Shaping events are live-only and rejected for the sim side.
+    With a chaos ``spec.scenario``, *both* backends execute the same
+    scripted fault timeline — crashes, restarts, partitions — so the
+    comparison point is a degraded run rather than a clean one (the run
+    is extended to cover the last event).  Shaping events are live-only
+    and rejected for the sim side.
 
     Note the two backends measure *different machines*: the simulator
     models the paper's c5.xlarge fleet, the live run is this host with
     every node sharing one kernel.  The deltas quantify that gap; they
     are not expected to be zero.
     """
-    # Imported lazily: this module sits below the cluster builders and
-    # the live runtime, either of which would otherwise import-cycle.
-    from repro.harness.cluster import run_sim
-    from repro.net.live import run_live_sync
-    from repro.protocols import get_protocol
+    from dataclasses import replace
 
-    spec = get_protocol(protocol)
-    # The live topology on both backends, so both offer load the same
-    # way.  No mempool priming on the sim side: the live runtime has no
-    # equivalent burst, and a t=0 burst on one side only would bias the
-    # throughput ratio (and with it suggested_cost_scale).
-    point = dict(protocol=protocol, n=n, duration=warmup + duration,
-                 config=spec.live_config(n, payload_size, datablock_size),
-                 client_count=spec.live_clients(n), total_rate=total_rate,
-                 bundle_size=bundle_size, seed=seed, warmup=warmup,
-                 scenario=scenario)
-    sim_report = run_sim(costs=costs, prime=False, **point)
-    live_report = run_live_sync(**point)
+    # Imported lazily: repro.harness imports this module's cost models.
+    from repro.harness.spec import execute
+
+    sim_report = execute(replace(spec, backend="sim", processes=False),
+                         costs=costs)
+    live_report = execute(replace(spec, backend="live"))
 
     deltas = {
         "throughput_rps": _delta(live_report["throughput_rps"],
@@ -266,18 +250,18 @@ def compare_live_sim(protocol: str = "leopard", n: int = 4,
     }
     ratio = deltas["throughput_rps"]["ratio_live_over_sim"]
     constants = {name: getattr(costs, name)
-                 for name in _COMMON_COSTS + RELEVANT_COSTS[protocol]}
+                 for name in _COMMON_COSTS + RELEVANT_COSTS[spec.protocol]}
     return {
         "schema": 1,
         "kind": "live_vs_sim_calibration",
-        "protocol": protocol,
-        "n": n,
-        "total_rate": total_rate,
-        "payload_size": payload_size,
-        "bundle_size": bundle_size,
-        "duration_s": duration,
-        "warmup_s": warmup,
-        "scenario": scenario.name if scenario is not None else None,
+        "protocol": spec.protocol,
+        "n": spec.n,
+        "total_rate": spec.rate,
+        "payload_size": spec.payload,
+        "bundle_size": spec.bundle_size,
+        "duration_s": spec.duration,
+        "warmup_s": spec.warmup,
+        "scenario": (sim_report["faults"] or {}).get("scenario"),
         "live": live_report,
         "sim": sim_report,
         "deltas": deltas,
@@ -291,23 +275,16 @@ def compare_live_sim(protocol: str = "leopard", n: int = 4,
     }
 
 
-def compare_faulted_live_sim(protocol: str = "leopard",
-                             scenario=None, n: int = 4,
-                             total_rate: float = 2000.0,
-                             payload_size: int = 128,
-                             duration: float = 2.0, bundle_size: int = 100,
-                             datablock_size: int = 100, seed: int = 0,
-                             warmup: float = 0.25,
-                             costs: CostModel = DEFAULT_COSTS,
+def compare_faulted_live_sim(spec, costs: CostModel = DEFAULT_COSTS,
                              max_degradation_gap: float = 2.0) -> dict:
     """Reconcile a *faulted* live-vs-sim point against its clean twin.
 
-    Runs the same (protocol, n, rate, payload) point four times: clean
-    and under the chaos ``scenario`` (default: the sim-compatible
-    ``crash-restart`` builtin), each on both backends.  Raw throughput
-    deltas between backends are host-dependent, so the gate is on the
-    *degradation ratio* — faulted/clean throughput per backend — which
-    normalizes the host out:
+    Runs ``spec`` four times: clean and under its chaos scenario
+    (default: the sim-compatible ``crash-restart`` builtin), each on
+    both backends.  Raw throughput deltas between backends are
+    host-dependent, so the gate is on the *degradation ratio* —
+    faulted/clean throughput per backend — which normalizes the host
+    out:
 
         gap = live_degradation / sim_degradation
 
@@ -317,17 +294,14 @@ def compare_faulted_live_sim(protocol: str = "leopard",
     ``[1/max_degradation_gap, max_degradation_gap]``.
     """
     import math
+    from dataclasses import replace
 
-    if scenario is None:
-        from repro.net.chaos import load_scenario
-        scenario = load_scenario("crash-restart")
+    from repro.net.chaos import load_scenario
 
-    common = dict(protocol=protocol, n=n, total_rate=total_rate,
-                  payload_size=payload_size, duration=duration,
-                  bundle_size=bundle_size, datablock_size=datablock_size,
-                  seed=seed, warmup=warmup, costs=costs)
-    clean = compare_live_sim(**common)
-    faulted = compare_live_sim(scenario=scenario, **common)
+    spec = replace(spec, scenario=spec.scenario or "crash-restart")
+    scenario = load_scenario(spec.scenario)
+    clean = compare_live_sim(replace(spec, scenario=None), costs)
+    faulted = compare_live_sim(spec, costs)
 
     def _degradation(which: str) -> float:
         base = clean[which]["throughput_rps"]
@@ -359,10 +333,10 @@ def compare_faulted_live_sim(protocol: str = "leopard",
     return {
         "schema": 1,
         "kind": "faulted_live_vs_sim_calibration",
-        "protocol": protocol,
+        "protocol": spec.protocol,
         "scenario": scenario.name,
-        "n": n,
-        "total_rate": total_rate,
+        "n": spec.n,
+        "total_rate": spec.rate,
         "clean": clean,
         "faulted": faulted,
         "degradation": {
@@ -410,14 +384,10 @@ def scaled_costs(scale: float, protocol: str = "leopard",
                              for name in fields})
 
 
-def sweep_live_sim(protocol: str = "leopard",
-                   grid: tuple[tuple[int, float, int], ...]
+def sweep_live_sim(spec, grid: tuple[tuple[int, float, int], ...]
                    = DEFAULT_SWEEP_GRID,
-                   duration: float = 1.5, bundle_size: int = 100,
-                   datablock_size: int = 100, seed: int = 0,
-                   warmup: float = 0.25,
                    costs: CostModel = DEFAULT_COSTS) -> dict:
-    """Reconcile a small (n, rate, payload) grid under both backends.
+    """Reconcile ``spec`` at each (n, rate, payload) point of ``grid``.
 
     Runs :func:`compare_live_sim` once per grid point and combines the
     per-point ``suggested_cost_scale`` values into one robust factor
@@ -426,6 +396,7 @@ def sweep_live_sim(protocol: str = "leopard",
     :class:`CostModel` presets (:func:`save_host_preset`).
     """
     import math
+    from dataclasses import replace
 
     from repro.perf import host_fingerprint
 
@@ -433,10 +404,7 @@ def sweep_live_sim(protocol: str = "leopard",
     scales = []
     for n, rate, payload in grid:
         point = compare_live_sim(
-            protocol=protocol, n=n, total_rate=rate, payload_size=payload,
-            duration=duration, bundle_size=bundle_size,
-            datablock_size=datablock_size, seed=seed, warmup=warmup,
-            costs=costs)
+            replace(spec, n=n, rate=rate, payload=payload), costs)
         points.append(point)
         scale = point["suggested_cost_scale"]
         if scale is not None and scale > 0:
@@ -446,7 +414,7 @@ def sweep_live_sim(protocol: str = "leopard",
     return {
         "schema": 1,
         "kind": "calibration_sweep",
-        "protocol": protocol,
+        "protocol": spec.protocol,
         "host": host_fingerprint(),
         "grid": [list(point) for point in grid],
         "points": points,

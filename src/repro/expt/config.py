@@ -42,32 +42,19 @@ from pathlib import Path
 from typing import Any
 
 from repro.errors import ConfigError
-from repro.protocols import PROTOCOLS
-
-BACKENDS = ("sim", "live")
+from repro.harness.spec import RunSpec
 
 #: Matrix axes in canonical order (also the trial-id field order).
 MATRIX_AXES = ("protocol", "backend", "n", "rate", "payload", "scenario")
 
 
 @dataclass(frozen=True)
-class Trial:
-    """One concrete (protocol, shape, backend) execution of the matrix."""
+class Trial(RunSpec):
+    """One concrete cell of the matrix: a run plus its identity."""
 
-    experiment: str
-    protocol: str
-    backend: str
-    n: int
-    rate: float
-    payload: int
-    duration: float
-    warmup: float
-    bundle_size: int
-    datablock_size: int
-    scenario: str | None
-    repeat: int
-    seed: int
-    trial_id: str
+    experiment: str = ""
+    repeat: int = 0
+    trial_id: str = ""
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)
@@ -95,20 +82,10 @@ class ExperimentConfig:
     trials: list[Trial] = field(default_factory=list)
 
 
-#: Trial fields a config may set (everything but the derived ones).
-_SETTABLE = {"protocol", "backend", "n", "rate", "payload", "duration",
-             "warmup", "bundle_size", "datablock_size", "scenario"}
-
-_BUILTIN_DEFAULTS: dict[str, Any] = {
-    "n": 4,
-    "rate": 2000.0,
-    "payload": 128,
-    "duration": 1.0,
-    "warmup": 0.25,
-    "bundle_size": 100,
-    "datablock_size": 100,
-    "scenario": None,
-}
+#: Run fields a config may set: the seed is derived per trial, and every
+#: trial runs the live client topology in-process.
+_SETTABLE = {f.name for f in fields(RunSpec)} - {"seed", "clients",
+                                                  "processes"}
 
 
 def _slug(value: Any) -> str:
@@ -147,34 +124,6 @@ def trial_seed(experiment: str, trial_id: str, base_seed: int = 0) -> int:
     return (int(base_seed) + digest) & 0x7FFFFFFF
 
 
-def _validate_cell(cell: dict[str, Any], where: str) -> None:
-    unknown = set(cell) - _SETTABLE
-    if unknown:
-        raise ConfigError(
-            f"{where}: unknown trial fields {sorted(unknown)}")
-    if cell["protocol"] not in PROTOCOLS:
-        raise ConfigError(
-            f"{where}: unknown protocol {cell['protocol']!r}; "
-            f"choose from {list(PROTOCOLS)}")
-    if cell["backend"] not in BACKENDS:
-        raise ConfigError(
-            f"{where}: unknown backend {cell['backend']!r}; "
-            f"choose from {list(BACKENDS)}")
-    if int(cell["n"]) < 4:
-        raise ConfigError(f"{where}: n must be >= 4 (3f+1), got {cell['n']}")
-    for name, kind in (("rate", (int, float)), ("payload", int),
-                       ("bundle_size", int), ("datablock_size", int)):
-        if not isinstance(cell[name], kind) or cell[name] <= 0:
-            raise ConfigError(
-                f"{where}: {name} must be a positive number, "
-                f"got {cell[name]!r}")
-    for name in ("duration", "warmup"):
-        if not isinstance(cell[name], (int, float)) or cell[name] < 0:
-            raise ConfigError(
-                f"{where}: {name} must be a non-negative number, "
-                f"got {cell[name]!r}")
-
-
 def expand(document: dict[str, Any], *, name: str | None = None
            ) -> ExperimentConfig:
     """Expand a parsed experiment document into concrete trials."""
@@ -201,7 +150,8 @@ def expand(document: dict[str, Any], *, name: str | None = None
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
     base_seed = int(document.get("base_seed", 0))
-    defaults = dict(_BUILTIN_DEFAULTS)
+    defaults = {f.name: f.default for f in fields(RunSpec)
+                if f.name in _SETTABLE}
     user_defaults = document.get("defaults") or {}
     bad_defaults = set(user_defaults) - _SETTABLE
     if bad_defaults:
@@ -236,11 +186,10 @@ def expand(document: dict[str, Any], *, name: str | None = None
         cell = dict(defaults)
         for bundle in combo:
             cell.update(bundle)
-        if "protocol" not in cell:
-            raise ConfigError("matrix/defaults never set 'protocol'")
-        if "backend" not in cell:
-            raise ConfigError("matrix/defaults never set 'backend'")
-        _validate_cell(cell, where=f"experiment {exp_name!r}")
+        unknown = set(cell) - _SETTABLE
+        if unknown:
+            raise ConfigError(f"experiment {exp_name!r}: unknown trial "
+                              f"fields {sorted(unknown)}")
         for repeat in range(repeats):
             trial_id = trial_id_for(cell, repeat, repeats)
             if trial_id in seen:
@@ -248,22 +197,13 @@ def expand(document: dict[str, Any], *, name: str | None = None
                     f"matrix produces duplicate trial {trial_id!r} "
                     "(two axis entries override to the same shape?)")
             seen.add(trial_id)
-            trials.append(Trial(
-                experiment=exp_name,
-                protocol=cell["protocol"],
-                backend=cell["backend"],
-                n=int(cell["n"]),
-                rate=float(cell["rate"]),
-                payload=int(cell["payload"]),
-                duration=float(cell["duration"]),
-                warmup=float(cell["warmup"]),
-                bundle_size=int(cell["bundle_size"]),
-                datablock_size=int(cell["datablock_size"]),
-                scenario=cell["scenario"],
-                repeat=repeat,
-                seed=trial_seed(exp_name, trial_id, base_seed),
-                trial_id=trial_id,
-            ))
+            try:
+                trials.append(Trial(
+                    **cell, seed=trial_seed(exp_name, trial_id, base_seed),
+                    experiment=exp_name, repeat=repeat, trial_id=trial_id))
+            except ConfigError as exc:
+                raise ConfigError(
+                    f"experiment {exp_name!r}: {exc}") from None
     return ExperimentConfig(
         name=exp_name,
         description=str(document.get("description", "")),

@@ -31,6 +31,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from repro.expt.config import ExperimentConfig, Trial
+from repro.harness.spec import execute
 
 #: Schema of the per-trial result document (wraps a standard_report).
 TRIAL_RESULT_SCHEMA = 1
@@ -41,41 +42,14 @@ TRIAL_RESULT_SCHEMA = 1
 # ---------------------------------------------------------------------------
 
 
-def _run_trial(trial: dict[str, Any], scenario) -> dict:
-    """One trial in the live topology, on its backend.  Live runs bind
-    ephemeral ports, so trials can overlap."""
-    from repro.harness.cluster import run_sim
-    from repro.net.live import run_live_sync
-    from repro.protocols import get_protocol
-
-    spec = get_protocol(trial["protocol"])
-    n = trial["n"]
-    point = dict(
-        protocol=spec.name, n=n,
-        duration=trial["warmup"] + trial["duration"],
-        config=spec.live_config(n, trial["payload"],
-                                trial["datablock_size"]),
-        client_count=spec.live_clients(n), total_rate=trial["rate"],
-        bundle_size=trial["bundle_size"], seed=trial["seed"],
-        warmup=trial["warmup"], scenario=scenario)
-    if trial["backend"] == "sim":
-        return run_sim(prime=False, **point)
-    if trial["backend"] == "live":
-        return run_live_sync(**point)
-    raise ValueError(f"unknown backend {trial['backend']!r}")
-
-
 def execute_trial(trial: dict[str, Any]) -> dict[str, Any]:
-    """Run one trial and return its result document (not yet on disk)."""
+    """Run one trial and return its result document (not yet on disk).
+
+    Live trials bind ephemeral ports, so trials can overlap."""
     from repro.perf import host_fingerprint
 
-    scenario = None
-    if trial.get("scenario"):
-        from repro.net.chaos import load_scenario
-
-        scenario = load_scenario(trial["scenario"])
     started = time.time()
-    report = _run_trial(trial, scenario)
+    report = execute(Trial.from_dict(trial))
     return {
         "schema": TRIAL_RESULT_SCHEMA,
         "kind": "trial_result",

@@ -40,6 +40,8 @@ import math
 import sys
 import time
 
+from repro.harness.spec import RunSpec, add_run_options, execute
+
 
 def _per_process(deployment: dict, key: str, fmt: str,
                  unit: str = "") -> str:
@@ -154,47 +156,43 @@ def _render_live_report(report: dict) -> str:
     return "\n".join(lines)
 
 
-def _write_report(report: dict, output: str | None) -> None:
-    if output:
-        with open(output, "w") as handle:
+def _verb_parser(verb: str, description: str,
+                 **fixed) -> argparse.ArgumentParser:
+    """A verb's parser: the generated run options (minus the fields the
+    verb fixes) plus the report outputs every verb shares."""
+    parser = argparse.ArgumentParser(prog=f"repro-experiments {verb}",
+                                     description=description)
+    add_run_options(parser, **fixed)
+    parser.add_argument("--json", action="store_true",
+                        help="print the report as JSON instead of text")
+    parser.add_argument("--output", default=None, metavar="FILE",
+                        help="also write the full report JSON to FILE "
+                             "(CI artifact path)")
+    return parser
+
+
+def _emit(args: argparse.Namespace, report: dict, text: str,
+          doc: dict | None = None) -> None:
+    """Print ``text`` (or ``doc``, default the report, as JSON) and write
+    the report to ``--output``."""
+    print(json.dumps(report if doc is None else doc, indent=2,
+                     sort_keys=True) if args.json else text)
+    if args.output:
+        with open(args.output, "w") as handle:
             json.dump(report, handle, indent=2, sort_keys=True)
-        print(f"report written to {output}")
+        print(f"report written to {args.output}")
 
 
-def run_live_command(argv: list[str]) -> int:
-    """The ``run-live`` subcommand: boot a localhost TCP cluster."""
-    from repro.protocols import PROTOCOLS
+def _committed(report: dict) -> int:
+    return report["executed_requests"].get(report["measure_replica"], 0)
 
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments run-live",
-        description="Run a live localhost BFT cluster over real TCP "
-                    "sockets (any of the paper's three protocols, "
-                    "in-process or one OS process per replica).")
-    parser.add_argument("--protocol", choices=PROTOCOLS,
-                        default="leopard",
-                        help="which protocol to boot (default leopard)")
-    parser.add_argument("--processes", action="store_true",
-                        help="launch one OS process per replica instead "
-                             "of hosting every core on one event loop")
-    parser.add_argument("--replicas", type=int, default=4,
-                        help="replica count n (3f+1; default 4)")
-    parser.add_argument("--clients", type=int, default=1,
-                        help="load-generating clients (default 1)")
-    parser.add_argument("--duration", type=float, default=5.0,
-                        help="seconds of real time to serve (default 5)")
-    parser.add_argument("--rate", type=float, default=4000.0,
-                        help="offered load, requests/second total")
-    parser.add_argument("--bundle-size", type=int, default=200,
-                        help="requests per client submission")
-    parser.add_argument("--payload", type=int, default=128,
-                        help="bytes per request payload")
-    parser.add_argument("--datablock-size", type=int, default=100,
-                        help="requests per batch (the paper's alpha for "
-                             "Leopard, the block batch for baselines)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="determinism seed for key dealing")
-    parser.add_argument("--warmup", type=float, default=0.0,
-                        help="seconds of metrics warmup")
+
+def _run_live_parser() -> argparse.ArgumentParser:
+    parser = _verb_parser(
+        "run-live",
+        "Run a live localhost BFT cluster over real TCP sockets (any of "
+        "the paper's three protocols, in-process or one OS process per "
+        "replica).", backend="live")
     parser.add_argument("--min-committed", type=int, default=None,
                         help="exit non-zero unless at least this many "
                              "requests committed (smoke gating)")
@@ -204,74 +202,25 @@ def run_live_command(argv: list[str]) -> int:
                              "segments fetched) AND its executed ledger "
                              "prefix re-converged with the quorum "
                              "(crash-recovery smoke gating)")
-    parser.add_argument("--scenario", default=None, metavar="SPEC",
-                        help="chaos scenario to run against the cluster: "
-                             "a builtin name (smoke, partition-heal, "
-                             "crash-restart, crash-recover, "
-                             "slow-replica), a scenario "
-                             "file path, or inline 'at T op args' text")
-    parser.add_argument("--json", action="store_true",
-                        help="print the full report as JSON")
-    parser.add_argument("--output", default=None, metavar="FILE",
-                        help="also write the full report JSON to FILE "
-                             "(CI artifact path)")
-    args = parser.parse_args(argv)
+    return parser
 
-    scenario = None
-    if args.scenario is not None:
-        from repro.errors import ConfigError
-        from repro.net.chaos import load_scenario
 
-        try:
-            scenario = load_scenario(args.scenario)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    if args.processes:
-        if args.warmup:
-            parser.error("--warmup is not supported with --processes "
-                         "(replica children cannot gate it on the "
-                         "measurement epoch); use in-process mode")
-        from repro.harness.procs import run_live_processes
-
-        report = run_live_processes(
-            n=args.replicas, client_count=args.clients,
-            duration=args.duration, protocol=args.protocol,
-            total_rate=args.rate, bundle_size=args.bundle_size,
-            payload_size=args.payload,
-            datablock_size=args.datablock_size, seed=args.seed,
-            warmup=args.warmup, scenario=scenario)
-    else:
-        from repro.net.live import run_live_sync
-        from repro.protocols import default_live_config_for
-
-        config = default_live_config_for(
-            args.protocol, args.replicas, payload_size=args.payload,
-            datablock_size=args.datablock_size)
-        report = run_live_sync(
-            n=args.replicas, client_count=args.clients,
-            duration=args.duration, protocol=args.protocol,
-            config=config, total_rate=args.rate,
-            bundle_size=args.bundle_size, seed=args.seed,
-            warmup=args.warmup, scenario=scenario)
-
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(_render_live_report(report))
-    _write_report(report, args.output)
+def run_live_command(argv: list[str]) -> int:
+    """The ``run-live`` subcommand: boot a localhost TCP cluster."""
+    args = _run_live_parser().parse_args(argv)
+    spec = RunSpec.from_args(args)
+    report = execute(spec)
+    _emit(args, report, _render_live_report(report))
 
     if args.min_committed is not None:
-        committed = report["executed_requests"].get(
-            report["measure_replica"], 0)
+        committed = _committed(report)
         if committed < args.min_committed:
             print(f"FAIL: {committed} requests committed "
                   f"< required {args.min_committed}", file=sys.stderr)
             return 1
         errors = {key: report["transport"][key]
                   for key in ("decode_errors", "handler_errors")}
-        if scenario is None and any(errors.values()):
+        if spec.scenario is None and any(errors.values()):
             # A fault-free run has no reason to garble a frame or raise
             # in a core; a transport bug can do either and still commit.
             print("FAIL: transport errors in a fault-free run: "
@@ -309,7 +258,7 @@ def run_live_command(argv: list[str]) -> int:
                 print(f"FAIL: replica {rid} did not re-converge: "
                       f"{detail}", file=sys.stderr)
                 return 1
-        if args.processes and not recovery.get("restored_from_disk"):
+        if spec.processes and not recovery.get("restored_from_disk"):
             print("FAIL: respawned replica did not restore from its "
                   "durable snapshot", file=sys.stderr)
             return 1
@@ -318,7 +267,7 @@ def run_live_command(argv: list[str]) -> int:
               f"and re-converged"
               + (f" (restored from disk: "
                  f"{recovery.get('restored_from_disk')})"
-                 if args.processes else ""))
+                 if spec.processes else ""))
     return 0
 
 
@@ -380,31 +329,23 @@ def _render_faulted_calibration(report: dict) -> str:
     return "\n".join(lines)
 
 
-def calibrate_command(argv: list[str]) -> int:
-    """The ``calibrate`` subcommand: one point under both backends."""
-    from repro.protocols import PROTOCOLS
+def _render_sweep(report: dict) -> str:
+    """Human-readable summary of a calibration sweep."""
+    combined = report["combined_cost_scale"]
+    return "\n".join(
+        [_render_calibration(point) for point in report["points"]]
+        + [f"combined cost scale over {len(report['points'])} points: "
+           f"{combined:.3g}" if combined is not None else
+           "combined cost scale: n/a"])
 
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments calibrate",
-        description="Run one (protocol, n, rate, payload) point under "
-                    "both the simulator and the live runtime, and emit "
-                    "a reconciliation report of the deltas against the "
-                    "calibration constants.")
-    parser.add_argument("--protocol", choices=PROTOCOLS,
-                        default="leopard")
-    parser.add_argument("--replicas", type=int, default=4,
-                        help="replica count n (default 4)")
-    parser.add_argument("--rate", type=float, default=2000.0,
-                        help="offered load, requests/second total")
-    parser.add_argument("--payload", type=int, default=128,
-                        help="bytes per request payload")
-    parser.add_argument("--duration", type=float, default=2.0,
-                        help="measured seconds per backend (default 2)")
-    parser.add_argument("--bundle-size", type=int, default=100)
-    parser.add_argument("--datablock-size", type=int, default=100)
-    parser.add_argument("--warmup", type=float, default=0.25,
-                        help="seconds of metrics warmup per backend")
-    parser.add_argument("--seed", type=int, default=0)
+
+def _calibrate_parser() -> argparse.ArgumentParser:
+    parser = _verb_parser(
+        "calibrate",
+        "Run one (protocol, n, rate, payload) point under both the "
+        "simulator and the live runtime, and emit a reconciliation "
+        "report of the deltas against the calibration constants.",
+        backend="sim", processes=False, clients=None)
     parser.add_argument("--min-committed", type=int, default=None,
                         help="exit non-zero unless both backends "
                              "committed at least this many requests")
@@ -413,88 +354,76 @@ def calibrate_command(argv: list[str]) -> int:
                              "preset applied to the simulated side "
                              "(a calibrated host should then reconcile "
                              "at a ratio near 1)")
-    parser.add_argument("--scenario", default=None, metavar="SPEC",
-                        help="reconcile a *faulted* point: run the chaos "
-                             "scenario (a sim-compatible builtin like "
-                             "crash-restart, a file, or inline text) on "
-                             "both backends next to a clean twin and "
-                             "gate on the degradation gap")
     parser.add_argument("--max-degradation-gap", type=float, default=2.0,
                         metavar="RATIO",
-                        help="with --scenario: fail unless the live/sim "
-                             "degradation-ratio gap lies within "
-                             "[1/RATIO, RATIO] (default 2.0)")
+                        help="with --scenario: reconcile the faulted "
+                             "point against a clean twin and fail unless "
+                             "the live/sim degradation-ratio gap lies "
+                             "within [1/RATIO, RATIO] (default 2.0)")
     parser.add_argument("--sweep", action="store_true",
                         help="reconcile the default (n, rate, payload) "
-                             "grid instead of a single point")
+                             "grid plus the given point")
     parser.add_argument("--apply-presets", default=None, metavar="FILE",
                         nargs="?", const="",
                         help="fold the sweep's combined cost scale into "
                              "the per-host preset file (default: the "
                              "committed benchmarks/CALIBRATION_presets"
                              ".json); implies --sweep")
-    parser.add_argument("--json", action="store_true",
-                        help="print the full report as JSON")
-    parser.add_argument("--output", default=None, metavar="FILE",
-                        help="also write the report JSON to FILE "
-                             "(CI artifact path)")
+    return parser
+
+
+def calibrate_command(argv: list[str]) -> int:
+    """The ``calibrate`` subcommand: one point under both backends."""
+    from repro.analysis import calibration
+
+    parser = _calibrate_parser()
     args = parser.parse_args(argv)
-
-    from repro.analysis.calibration import (
-        DEFAULT_COSTS,
-        DEFAULT_PRESETS_PATH,
-        compare_live_sim,
-        host_cost_preset,
-        save_host_preset,
-        sweep_live_sim,
-    )
-
-    costs = DEFAULT_COSTS
+    sweep = args.sweep or args.apply_presets is not None
+    if args.scenario is not None and sweep:
+        parser.error("--scenario cannot be combined with --sweep/"
+                     "--apply-presets (the degradation gate is a "
+                     "single-point comparison)")
+    spec = RunSpec.from_args(args)
+    costs = calibration.DEFAULT_COSTS
     if args.use_host_preset:
-        costs = host_cost_preset(args.protocol)
-        if costs is DEFAULT_COSTS:
+        costs = calibration.host_cost_preset(spec.protocol)
+        if costs is calibration.DEFAULT_COSTS:
             print("note: no committed preset for this host/protocol; "
                   "running with default costs")
 
-    if args.scenario is not None:
-        if args.sweep or args.apply_presets is not None:
-            parser.error("--scenario cannot be combined with --sweep/"
-                         "--apply-presets (the degradation gate is a "
-                         "single-point comparison)")
-        from repro.analysis.calibration import compare_faulted_live_sim
-        from repro.errors import ConfigError
-        from repro.net.chaos import load_scenario
+    if spec.scenario is not None:
+        report = calibration.compare_faulted_live_sim(
+            spec, costs=costs, max_degradation_gap=args.max_degradation_gap)
+        points = [(f"{label} point", report[label])
+                  for label in ("clean", "faulted")]
+        text = _render_faulted_calibration(report)
+    elif sweep:
+        # The point flags join the default grid rather than being
+        # silently ignored, so `--sweep --rate 4000` really sweeps the
+        # rate the user asked about.
+        grid = tuple(dict.fromkeys(calibration.DEFAULT_SWEEP_GRID + (
+            (spec.n, spec.rate, spec.payload),)))
+        report = calibration.sweep_live_sim(spec, grid, costs=costs)
+        points = [(f"n={point['n']}", point) for point in report["points"]]
+        text = _render_sweep(report)
+    else:
+        report = calibration.compare_live_sim(spec, costs=costs)
+        points = [("the point", report)]
+        text = _render_calibration(report)
+    _emit(args, report, text)
 
-        try:
-            scenario = load_scenario(args.scenario)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        report = compare_faulted_live_sim(
-            protocol=args.protocol, scenario=scenario, n=args.replicas,
-            total_rate=args.rate, payload_size=args.payload,
-            duration=args.duration, bundle_size=args.bundle_size,
-            datablock_size=args.datablock_size, seed=args.seed,
-            warmup=args.warmup, costs=costs,
-            max_degradation_gap=args.max_degradation_gap)
-        if args.json:
-            print(json.dumps(report, indent=2, sort_keys=True))
-        else:
-            print(_render_faulted_calibration(report))
-        _write_report(report, args.output)
-        if args.min_committed is not None:
-            for label, point in (("clean", report["clean"]),
-                                 ("faulted", report["faulted"])):
-                for backend in ("live", "sim"):
-                    sub = point[backend]
-                    committed = sub["executed_requests"].get(
-                        sub["measure_replica"], 0)
-                    if committed < args.min_committed:
-                        print(f"FAIL: {backend} backend committed "
-                              f"{committed} < required "
-                              f"{args.min_committed} ({label} point)",
-                              file=sys.stderr)
-                        return 1
+    if args.min_committed is not None:
+        for label, point in points:
+            for backend in ("live", "sim"):
+                committed = _committed(point[backend])
+                if committed < args.min_committed:
+                    print(f"FAIL: {backend} backend committed {committed} "
+                          f"< required {args.min_committed} at {label}",
+                          file=sys.stderr)
+                    return 1
+        print(f"calibration smoke OK: both backends committed "
+              f">= {args.min_committed} at every point")
+    if spec.scenario is not None:
         deg = report["degradation"]
         if not deg["within_bound"]:
             print(f"FAIL: live/sim degradation gap "
@@ -505,119 +434,30 @@ def calibrate_command(argv: list[str]) -> int:
         print(f"faulted calibration OK: degradation gap "
               f"{deg['gap_ratio_live_over_sim']:.3g} within "
               f"{args.max_degradation_gap:.3g}x")
-        return 0
-
-    if args.sweep or args.apply_presets is not None:
-        from repro.analysis.calibration import DEFAULT_SWEEP_GRID
-
-        # The point flags join the default grid rather than being
-        # silently ignored, so `--sweep --rate 4000` really sweeps the
-        # rate the user asked about.
-        grid = tuple(dict.fromkeys(
-            DEFAULT_SWEEP_GRID
-            + ((args.replicas, args.rate, args.payload),)))
-        report = sweep_live_sim(
-            protocol=args.protocol, grid=grid, duration=args.duration,
-            bundle_size=args.bundle_size,
-            datablock_size=args.datablock_size, seed=args.seed,
-            warmup=args.warmup, costs=costs)
-        if args.json:
-            print(json.dumps(report, indent=2, sort_keys=True))
-        else:
-            for point in report["points"]:
-                print(_render_calibration(point))
-            combined = report["combined_cost_scale"]
-            print(f"combined cost scale over {len(report['points'])} "
-                  f"points: "
-                  f"{combined:.3g}" if combined is not None else
-                  "combined cost scale: n/a")
-        _write_report(report, args.output)
-        if args.min_committed is not None:
-            for point in report["points"]:
-                for backend in ("live", "sim"):
-                    sub = point[backend]
-                    committed = sub["executed_requests"].get(
-                        sub["measure_replica"], 0)
-                    if committed < args.min_committed:
-                        print(f"FAIL: {backend} backend committed "
-                              f"{committed} < required "
-                              f"{args.min_committed} at n={point['n']}",
-                              file=sys.stderr)
-                        return 1
-            print(f"calibration sweep OK: every backend of every point "
-                  f"committed >= {args.min_committed}")
-        # Presets only persist after the commit gate: a run the gate
-        # rejects must not re-baseline the committed file.
-        if args.apply_presets is not None:
-            if report["combined_cost_scale"] is None:
-                print("FAIL: sweep produced no usable cost scale; "
-                      "presets not updated", file=sys.stderr)
-                return 1
-            path = args.apply_presets or DEFAULT_PRESETS_PATH
-            save_host_preset(report, path)
-            print(f"updated per-host cost presets in {path}")
-        return 0
-
-    report = compare_live_sim(
-        protocol=args.protocol, n=args.replicas, total_rate=args.rate,
-        payload_size=args.payload, duration=args.duration,
-        bundle_size=args.bundle_size,
-        datablock_size=args.datablock_size, seed=args.seed,
-        warmup=args.warmup, costs=costs)
-
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(_render_calibration(report))
-    _write_report(report, args.output)
-
-    if args.min_committed is not None:
-        for backend in ("live", "sim"):
-            sub = report[backend]
-            committed = sub["executed_requests"].get(
-                sub["measure_replica"], 0)
-            if committed < args.min_committed:
-                print(f"FAIL: {backend} backend committed {committed} "
-                      f"< required {args.min_committed}", file=sys.stderr)
-                return 1
-        print(f"calibration smoke OK: both backends committed "
-              f">= {args.min_committed}")
+    # Presets only persist after the commit gate: a run the gate
+    # rejects must not re-baseline the committed file.
+    if args.apply_presets is not None:
+        if report["combined_cost_scale"] is None:
+            print("FAIL: sweep produced no usable cost scale; "
+                  "presets not updated", file=sys.stderr)
+            return 1
+        path = args.apply_presets or calibration.DEFAULT_PRESETS_PATH
+        calibration.save_host_preset(report, path)
+        print(f"updated per-host cost presets in {path}")
     return 0
 
 
-def trace_command(argv: list[str]) -> int:
-    """The ``trace`` subcommand: record and render request lifecycles."""
-    from repro.protocols import PROTOCOLS
-
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments trace",
-        description="Run one traced deployment (simulated or live, "
-                    "in-process or one OS process per replica), "
-                    "reconstruct per-request lifecycles — submit, "
-                    "batch, proposal, commit, ack — and render them as "
-                    "a text timeline and/or a Chrome trace_event JSON "
-                    "for chrome://tracing / Perfetto.")
-    parser.add_argument("--backend", choices=("sim", "live"),
-                        default="sim",
-                        help="execution backend to trace (default sim)")
-    parser.add_argument("--processes", action="store_true",
-                        help="live backend only: one OS process per "
-                             "replica; per-child ring traces are merged "
-                             "onto the parent's measurement clock")
-    parser.add_argument("--protocol", choices=PROTOCOLS,
-                        default="leopard")
-    parser.add_argument("--replicas", type=int, default=4,
-                        help="replica count n (default 4)")
-    parser.add_argument("--clients", type=int, default=1,
-                        help="live-backend client count (default 1)")
-    parser.add_argument("--duration", type=float, default=2.0,
-                        help="seconds to serve/simulate (default 2)")
-    parser.add_argument("--rate", type=float, default=2000.0,
-                        help="offered load, requests/second total")
-    parser.add_argument("--bundle-size", type=int, default=100)
-    parser.add_argument("--payload", type=int, default=128)
-    parser.add_argument("--datablock-size", type=int, default=100)
-    parser.add_argument("--seed", type=int, default=0)
+def _trace_parser() -> argparse.ArgumentParser:
+    parser = _verb_parser(
+        "trace",
+        "Run one traced deployment (simulated or live, in-process or "
+        "one OS process per replica), reconstruct per-request "
+        "lifecycles — submit, batch, proposal, commit, ack — and render "
+        "them as a text timeline and/or a Chrome trace_event JSON for "
+        "chrome://tracing / Perfetto.  --json prints the lifecycles and "
+        "phase summary; --output writes the full run report, raw trace "
+        "included.",
+        warmup=0.0)
     parser.add_argument("--capacity", type=int, default=65536,
                         help="ring-buffer capacity in events")
     parser.add_argument("--trace-sample", type=int, default=1,
@@ -628,37 +468,18 @@ def trace_command(argv: list[str]) -> int:
                              "record everything)")
     parser.add_argument("--limit", type=int, default=10,
                         help="request rows in the text timeline")
-    parser.add_argument("--scenario", default=None, metavar="SPEC",
-                        help="chaos scenario to run during the traced "
-                             "run (annotations land in the timeline)")
     parser.add_argument("--chrome", default=None, metavar="FILE",
                         help="export a validated Chrome trace_event "
                              "JSON document to FILE")
-    parser.add_argument("--json", action="store_true",
-                        help="print lifecycles + phase summary as JSON "
-                             "instead of the text timeline")
-    parser.add_argument("--output", default=None, metavar="FILE",
-                        help="also write the full run report (including "
-                             "the raw trace) to FILE")
     parser.add_argument("--require-request", action="store_true",
                         help="exit non-zero unless at least one request "
                              "has a complete committed lifecycle "
                              "(smoke gating)")
-    args = parser.parse_args(argv)
-    if args.processes and args.backend != "live":
-        parser.error("--processes requires --backend live")
+    return parser
 
-    scenario = None
-    if args.scenario is not None:
-        from repro.errors import ConfigError
-        from repro.net.chaos import load_scenario
 
-        try:
-            scenario = load_scenario(args.scenario)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
+def trace_command(argv: list[str]) -> int:
+    """The ``trace`` subcommand: record and render request lifecycles."""
     from repro.obs import (
         RingTracer,
         build_lifecycles,
@@ -668,78 +489,39 @@ def trace_command(argv: list[str]) -> int:
         validate_chrome_trace,
     )
 
+    args = _trace_parser().parse_args(argv)
+    spec = RunSpec.from_args(args)
     try:
         tracer = RingTracer(capacity=args.capacity,
                             sample=args.trace_sample)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.backend == "sim":
-        # The sim side of calibrate: the live smoke config and client
-        # topology, so a sim trace and a live trace of the same point
-        # line up phase for phase.
-        from repro.harness.cluster import run_sim
-        from repro.protocols import get_protocol
-
-        spec = get_protocol(args.protocol)
-        report = run_sim(
-            args.protocol, args.replicas, args.duration,
-            config=spec.live_config(args.replicas, args.payload,
-                                    args.datablock_size),
-            client_count=spec.live_clients(args.replicas),
-            total_rate=args.rate, bundle_size=args.bundle_size,
-            seed=args.seed, warmup=0.0, prime=False, scenario=scenario,
-            tracer=tracer)
-    elif args.processes:
-        from repro.harness.procs import run_live_processes
-
-        report = run_live_processes(
-            n=args.replicas, client_count=args.clients,
-            duration=args.duration, protocol=args.protocol,
-            total_rate=args.rate, bundle_size=args.bundle_size,
-            payload_size=args.payload,
-            datablock_size=args.datablock_size, seed=args.seed,
-            scenario=scenario, tracer=tracer)
-    else:
-        from repro.net.live import run_live_sync
-        from repro.protocols import default_live_config_for
-
-        config = default_live_config_for(
-            args.protocol, args.replicas, payload_size=args.payload,
-            datablock_size=args.datablock_size)
-        report = run_live_sync(
-            n=args.replicas, client_count=args.clients,
-            duration=args.duration, protocol=args.protocol,
-            config=config, total_rate=args.rate,
-            bundle_size=args.bundle_size, seed=args.seed,
-            scenario=scenario, tracer=tracer)
+    report = execute(spec, tracer=tracer)
 
     trace = report.get("trace") or tracer.to_jsonable()
     annotations = (report.get("timeseries") or {}).get("annotations", [])
     lifecycles = build_lifecycles(trace["events"],
                                   measure_replica=report["measure_replica"])
     complete = sum(1 for lc in lifecycles if lc["complete"])
-
-    if args.json:
-        print(json.dumps({
-            "backend": report["backend"],
-            "protocol": report["protocol"],
-            "n": report["n"],
-            "deployment": report.get("deployment"),
-            "events_recorded": len(trace["events"]),
-            "events_dropped": trace.get("dropped", 0),
-            "lifecycles": lifecycles,
-            "phase_summary": summarize_lifecycles(lifecycles),
-            "annotations": annotations,
-        }, indent=2, sort_keys=True))
-    else:
-        mode = (report.get("deployment") or {}).get("mode", "in-process")
-        print(f"traced {report['backend']} run: n={report['n']} "
-              f"{report['protocol']} [{mode}], "
-              f"{len(trace['events'])} events recorded "
-              f"({trace.get('dropped', 0)} dropped)")
-        print(render_timeline(lifecycles, annotations, limit=args.limit))
-    _write_report(report, args.output)
+    mode = (report.get("deployment") or {}).get("mode", "in-process")
+    _emit(args, report,
+          f"traced {report['backend']} run: n={report['n']} "
+          f"{report['protocol']} [{mode}], "
+          f"{len(trace['events'])} events recorded "
+          f"({trace.get('dropped', 0)} dropped)\n"
+          + render_timeline(lifecycles, annotations, limit=args.limit),
+          doc={
+              "backend": report["backend"],
+              "protocol": report["protocol"],
+              "n": report["n"],
+              "deployment": report.get("deployment"),
+              "events_recorded": len(trace["events"]),
+              "events_dropped": trace.get("dropped", 0),
+              "lifecycles": lifecycles,
+              "phase_summary": summarize_lifecycles(lifecycles),
+              "annotations": annotations,
+          })
 
     if args.chrome:
         doc = chrome_trace(lifecycles, annotations)
@@ -788,15 +570,10 @@ def _expt_run(argv: list[str]) -> int:
                         help="print the run summary as JSON")
     args = parser.parse_args(argv)
 
-    from repro.errors import ConfigError
     from repro.expt import load_config, run_experiment
     from repro.expt.store import ResultsStore
 
-    try:
-        config = load_config(args.config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = load_config(args.config)
     results_dir = args.results_dir or f"artifacts/expt/{config.name}/results"
     print(f"experiment {config.name}: {len(config.trials)} trials "
           f"-> {results_dir}")
@@ -912,12 +689,10 @@ def _expt_ingest(argv: list[str]) -> int:
 
 def expt_command(argv: list[str]) -> int:
     """The ``expt`` subcommand family: run / report / ingest."""
-    if argv and argv[0] == "run":
-        return _expt_run(argv[1:])
-    if argv and argv[0] == "report":
-        return _expt_report(argv[1:])
-    if argv and argv[0] == "ingest":
-        return _expt_ingest(argv[1:])
+    command = {"run": _expt_run, "report": _expt_report,
+               "ingest": _expt_ingest}.get(argv[0] if argv else "")
+    if command is not None:
+        return command(argv[1:])
     print("usage: expt {run,report,ingest} ...\n"
           "  run     execute a declarative trial matrix (parallel, "
           "resumable)\n"
@@ -927,17 +702,21 @@ def expt_command(argv: list[str]) -> int:
     return 2
 
 
+#: The subcommands; each parses its own argv.
+VERBS = {"run-live": run_live_command, "calibrate": calibrate_command,
+         "trace": trace_command, "expt": expt_command}
+
 def main(argv: list[str] | None = None) -> int:
     """Run the requested experiments (or the live cluster) and report."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv and argv[0] == "run-live":
-        return run_live_command(argv[1:])
-    if argv and argv[0] == "calibrate":
-        return calibrate_command(argv[1:])
-    if argv and argv[0] == "trace":
-        return trace_command(argv[1:])
-    if argv and argv[0] == "expt":
-        return expt_command(argv[1:])
+    if argv and argv[0] in VERBS:
+        from repro.errors import ConfigError
+
+        try:
+            return VERBS[argv[0]](argv[1:])
+        except ConfigError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
     from repro.harness.experiments import ALL_EXPERIMENTS, full_scale
 

@@ -11,14 +11,16 @@ from repro.analysis.calibration import (
     compare_faulted_live_sim,
     compare_live_sim,
 )
+from repro.harness.spec import RunSpec
 
 
 class TestCompareLiveSim:
     @pytest.fixture(scope="class")
     def leopard_report(self):
-        return compare_live_sim(protocol="leopard", n=4,
-                                total_rate=1500.0, duration=1.0,
-                                bundle_size=100, warmup=0.1, seed=3)
+        return compare_live_sim(RunSpec(protocol="leopard", n=4,
+                                        rate=1500.0, duration=1.0,
+                                        bundle_size=100, warmup=0.1,
+                                        seed=3))
 
     def test_embeds_both_standard_reports(self, leopard_report):
         assert leopard_report["kind"] == "live_vs_sim_calibration"
@@ -53,9 +55,9 @@ class TestCompareLiveSim:
 
     @pytest.mark.parametrize("protocol", ("pbft", "hotstuff"))
     def test_baseline_points_reconcile(self, protocol):
-        report = compare_live_sim(protocol=protocol, n=4,
-                                  total_rate=1500.0, duration=1.0,
-                                  bundle_size=100, warmup=0.1)
+        report = compare_live_sim(RunSpec(protocol=protocol, n=4,
+                                          rate=1500.0, duration=1.0,
+                                          bundle_size=100, warmup=0.1))
         assert report["protocol"] == protocol
         assert report["live"]["throughput_rps"] > 0
         assert report["sim"]["throughput_rps"] > 0
@@ -66,7 +68,7 @@ class TestCompareLiveSim:
         from repro.errors import ConfigError
 
         with pytest.raises(ConfigError):
-            compare_live_sim(protocol="tendermint", duration=0.1)
+            compare_live_sim(RunSpec(protocol="tendermint", duration=0.1))
 
 
 class TestCompareFaultedLiveSim:
@@ -75,14 +77,11 @@ class TestCompareFaultedLiveSim:
 
     @pytest.fixture(scope="class")
     def faulted_report(self):
-        from repro.net.chaos import load_scenario
-
-        scenario = load_scenario(
-            "at 0.4 crash victim; at 1.0 restart victim")
         return compare_faulted_live_sim(
-            protocol="leopard", scenario=scenario, n=4,
-            total_rate=1500.0, duration=1.2, bundle_size=100,
-            warmup=0.1, seed=3, max_degradation_gap=10.0)
+            RunSpec(protocol="leopard", n=4, rate=1500.0, duration=1.2,
+                    bundle_size=100, warmup=0.1, seed=3,
+                    scenario="at 0.4 crash victim; at 1.0 restart victim"),
+            max_degradation_gap=10.0)
 
     def test_embeds_clean_and_faulted_comparisons(self, faulted_report):
         assert faulted_report["kind"] == "faulted_live_vs_sim_calibration"
@@ -112,23 +111,22 @@ class TestCompareFaultedLiveSim:
         assert deg["within_bound"] is True
 
     def test_default_scenario_is_parsed_builtin(self, monkeypatch):
-        """Passing no scenario must load the crash-restart builtin as a
-        parsed ChaosScenario, not its raw text."""
+        """A spec without a scenario is reconciled under the
+        crash-restart builtin, next to a clean twin of the same point."""
         import repro.analysis.calibration as calibration_mod
-        from repro.net.chaos import ChaosScenario
 
         seen = []
 
-        def stub_compare(scenario=None, **kwargs):
-            seen.append(scenario)
+        def stub_compare(spec, costs):
+            seen.append(spec)
             return {"live": {"throughput_rps": 1000.0},
                     "sim": {"throughput_rps": 1000.0},
-                    "scenario": scenario.name if scenario else None}
+                    "scenario": spec.scenario}
 
         monkeypatch.setattr(calibration_mod, "compare_live_sim",
                             stub_compare)
-        report = compare_faulted_live_sim()
-        assert seen[0] is None  # the clean run
-        assert isinstance(seen[1], ChaosScenario)
-        assert seen[1].name == "crash-restart"
+        report = compare_faulted_live_sim(RunSpec(rate=1500.0))
+        assert seen == [RunSpec(rate=1500.0),
+                        RunSpec(rate=1500.0, scenario="crash-restart")]
+        assert report["scenario"] == "crash-restart"
         assert report["degradation"]["within_bound"] is True

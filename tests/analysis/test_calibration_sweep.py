@@ -16,6 +16,7 @@ from repro.analysis.calibration import (
     scaled_costs,
     sweep_live_sim,
 )
+from repro.harness.spec import RunSpec
 from repro.perf import host_fingerprint
 
 
@@ -48,13 +49,20 @@ class TestSweep:
     def test_combines_scales_geometrically(self, monkeypatch):
         scales = iter([2.0, 0.5, 4.0])
 
-        def fake_compare(**kwargs):
-            return _fake_point(next(scales), kwargs["n"])
+        seen = []
 
-        monkeypatch.setattr(calibration, "compare_live_sim",
-                            lambda **kw: fake_compare(**kw))
-        report = sweep_live_sim(grid=((4, 1000.0, 128), (4, 2000.0, 128),
+        def fake_compare(spec, costs):
+            seen.append(spec)
+            return _fake_point(next(scales), spec.n)
+
+        monkeypatch.setattr(calibration, "compare_live_sim", fake_compare)
+        report = sweep_live_sim(RunSpec(bundle_size=50),
+                                grid=((4, 1000.0, 128), (4, 2000.0, 128),
                                       (7, 2000.0, 128)))
+        # Each point is the given spec at that grid shape.
+        assert seen == [RunSpec(bundle_size=50, n=n, rate=rate,
+                                payload=payload)
+                        for n, rate, payload in report["grid"]]
         assert report["kind"] == "calibration_sweep"
         assert len(report["points"]) == 3
         expected = math.exp((math.log(2.0) + math.log(0.5)
@@ -64,8 +72,8 @@ class TestSweep:
 
     def test_handles_unusable_scales(self, monkeypatch):
         monkeypatch.setattr(calibration, "compare_live_sim",
-                            lambda **kw: _fake_point(None, kw["n"]))
-        report = sweep_live_sim(grid=((4, 1000.0, 128),))
+                            lambda spec, costs: _fake_point(None, spec.n))
+        report = sweep_live_sim(RunSpec(), grid=((4, 1000.0, 128),))
         assert report["combined_cost_scale"] is None
 
 

@@ -194,6 +194,25 @@ class TestCommittedConfigs:
         for trial in cfg.trials:
             assert Trial.from_dict(trial.to_dict()) == trial
 
+    def test_smoke_trial_ids_and_seeds_are_stable(self):
+        # Resume and the store key results by these: never reseed them.
+        cfg = load_config("benchmarks/experiments/smoke.yaml")
+        assert [(t.trial_id, t.seed) for t in cfg.trials] == [
+            ("leopard_sim_n64_r2000_p128", 573594506),
+            ("leopard_live_n4_r2000_p128", 149433280),
+            ("pbft_sim_n64_r2000_p128", 708058628),
+            ("pbft_live_n4_r2000_p128", 15494734),
+            ("hotstuff_sim_n64_r2000_p128", 1836819709),
+            ("hotstuff_live_n4_r2000_p128", 1201919159),
+        ]
+
+    def test_result_files_without_run_topology_fields_still_load(self):
+        # Trial documents written before clients/processes existed.
+        cfg = load_config("benchmarks/experiments/smoke.yaml")
+        old = cfg.trials[0].to_dict()
+        del old["clients"], old["processes"]
+        assert Trial.from_dict(old) == cfg.trials[0]
+
 
 def test_matrix_axes_are_trial_fields():
     field_names = {f for f in Trial.__dataclass_fields__}
