@@ -104,8 +104,10 @@ calibrate-smoke:
 
 # Chaos smoke: the scripted "smoke" scenario (WAN-shape the leader link,
 # partition the victim, heal, crash it, restart it) must still commit
-# requests on every protocol, live in-process.  One extra leg exercises
-# the crash/restart path against real OS processes (SIGKILL + respawn).
+# requests on every protocol, live in-process.  The slow-replica legs
+# hot-swap a DelaySend fault in and out of a live replica's core stack
+# (the chaos fault/unfault ops).  One extra leg exercises the
+# crash/restart path against real OS processes (SIGKILL + respawn).
 chaos-smoke:
 	@mkdir -p artifacts
 	@for proto in $(LIVE_PROTOCOLS); do \
@@ -113,6 +115,11 @@ chaos-smoke:
 		$(PYTHON) -m repro.harness.cli run-live --protocol $$proto \
 			--scenario smoke $(SMOKE_ARGS) \
 			--output artifacts/chaos_$${proto}_in-process.json \
+			|| exit 1; \
+		echo "== chaos-smoke $$proto (in-process, slow-replica) =="; \
+		$(PYTHON) -m repro.harness.cli run-live --protocol $$proto \
+			--scenario slow-replica $(SMOKE_ARGS) \
+			--output artifacts/chaos_$${proto}_slow-replica.json \
 			|| exit 1; \
 	done
 	@echo "== chaos-smoke leopard (processes, crash-restart) =="

@@ -1,17 +1,21 @@
-"""Composable Byzantine fault behaviours, shared by both backends.
+"""Composable Byzantine fault behaviours and the core wrapper that hosts them.
 
-The paper's adversary (§III-A) fully controls up to f replicas.  Rather than
-writing bespoke malicious replicas for every experiment, hosts wrap their
-protocol core with a :class:`FaultBehavior` that intercepts the sans-io
-boundary: outgoing effects can be rewritten/suppressed and incoming messages
-dropped.  Behaviours compose, so "selective disseminator that also withholds
+The paper's adversary (§III-A) fully controls up to f replicas.  A faulty
+replica's core is wrapped in a :class:`FaultyCore`, itself a
+:class:`repro.interfaces.ProtocolCore`, which holds a :class:`FaultBehavior`
+and owns everything the fault does: which messages are received at all
+(:meth:`FaultyCore.admits`), silencing a crashed core, rewriting the
+effects the core emits, and realising :class:`DelaySend` with timers of its
+own.  Behaviours compose, so "selective disseminator that also withholds
 votes" is a one-liner in tests.
 
-This module is deliberately backend-neutral (it imports only
-:mod:`repro.interfaces`): the discrete-event simulator
-(:class:`repro.sim.node.SimNode`) and the live TCP runtime
-(:class:`repro.net.node.LiveNode`) both host the same behaviours, so an
-attack validated in simulation runs unchanged against real sockets.
+The simulator (:class:`repro.sim.node.SimNode`) and the live runtime
+(:class:`repro.net.node.LiveNode`) have no fault logic beyond one receipt
+gate, ``admits`` (``None`` for a stack with no fault), so an attack
+validated in simulation runs unchanged against real sockets.
+:func:`hosted_core` builds every hosted stack in one order — the fault
+innermost, :class:`repro.obs.tracer.TracedCore` outside it, so traces show
+what the network saw — and honest cores are hosted bare.
 
 Provided behaviours cover the attacks the paper analyses:
 
@@ -22,21 +26,36 @@ Provided behaviours cover the attacks the paper analyses:
   (e.g. drops honest replicas' datablocks, §V-B case (b)).
 * :class:`Mute` — suppresses selected outgoing message classes
   (e.g. vote withholding).
-* :class:`DelaySend` — a slow/lagging replica: outgoing effects are
-  wrapped in :class:`repro.interfaces.Delayed` and applied ``delay``
-  seconds late by the hosting backend.
+* :class:`DelaySend` — a slow/lagging replica: its sends leave ``delay``
+  seconds late.
 
-Behaviours are round-trippable through plain-JSON *specs*
-(:func:`fault_to_spec` / :func:`fault_from_spec`) so the multi-process
-live deployment can ship a replica's fault across a process boundary and
-chaos scenarios can name faults declaratively.
+Behaviours round-trip through plain-JSON *specs* (:func:`fault_to_spec` /
+:func:`fault_from_spec`), so a multi-process deployment ships a replica's
+fault across the process boundary and chaos scenarios name faults
+declaratively; :func:`faults_section` reports them for every backend.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import count
+from typing import Hashable
 
-from repro.interfaces import Broadcast, Delayed, Effect, Message, Send
+from repro.interfaces import Broadcast, Effect, Message, Send, SetTimer
+from repro.obs.tracer import TracedCore
+
+
+@dataclass(slots=True)
+class Delayed(Effect):
+    """Apply ``effect`` after ``delay`` seconds of host time.
+
+    Emitted by :meth:`DelaySend.filter_effects` and consumed by the
+    :class:`FaultyCore` holding that behaviour, which turns it into a
+    timer of its own: no host or protocol core ever sees one.
+    """
+
+    delay: float
+    effect: Effect
 
 
 class FaultBehavior:
@@ -51,9 +70,9 @@ class FaultBehavior:
         """Return True to silently discard an incoming message."""
         return False
 
-    @property
-    def crashed(self) -> bool:
-        """Crashed nodes neither send nor receive anything."""
+    def crashed(self, now: float) -> bool:
+        """Whether the node is crashed at ``now``: it neither sends nor
+        receives anything."""
         return False
 
 
@@ -65,20 +84,16 @@ class Crash(FaultBehavior):
     """Fail-stop at time ``at`` (immediately by default)."""
 
     at: float = 0.0
-    _now: float = field(default=0.0, repr=False)
 
     def filter_effects(self, effects: list[Effect], now: float
                        ) -> list[Effect]:
-        self._now = now
         return [] if now >= self.at else effects
 
     def drop_incoming(self, sender: int, msg: Message, now: float) -> bool:
-        self._now = now
         return now >= self.at
 
-    @property
-    def crashed(self) -> bool:
-        return self._now >= self.at
+    def crashed(self, now: float) -> bool:
+        return now >= self.at
 
 
 @dataclass
@@ -148,13 +163,11 @@ class DelaySend(FaultBehavior):
     """A slow/lagging replica: outgoing effects leave ``delay`` seconds late.
 
     Send/Broadcast effects (of ``msg_classes``, or every class when
-    ``None``) are wrapped in :class:`repro.interfaces.Delayed`; the
-    hosting backend applies the inner effect after the lag — the
-    simulator via its event queue, the live runtime via an event-loop
-    timer — so the behaviour is identical on both.  Message *handling*
-    is not delayed: the replica is slow to speak, not deaf, matching the
-    "slow link / overloaded replica" shape of the FnF-BFT degradation
-    attacks rather than a crash.
+    ``None``) are wrapped in :class:`Delayed`, which the
+    :class:`FaultyCore` releases after the lag through a timer.  Message
+    *handling* is not delayed: the replica is slow to speak, not deaf,
+    matching the "slow link / overloaded replica" shape of the FnF-BFT
+    degradation attacks rather than a crash.
     """
 
     delay: float = 0.05
@@ -188,9 +201,107 @@ class Combined(FaultBehavior):
     def drop_incoming(self, sender: int, msg: Message, now: float) -> bool:
         return any(b.drop_incoming(sender, msg, now) for b in self.behaviors)
 
-    @property
-    def crashed(self) -> bool:
-        return any(b.crashed for b in self.behaviors)
+    def crashed(self, now: float) -> bool:
+        return any(b.crashed(now) for b in self.behaviors)
+
+
+# ---------------------------------------------------------------------------
+# The sans-io seam: a faulty replica's core
+# ---------------------------------------------------------------------------
+
+#: Tags the timer keys a :class:`FaultyCore` arms for held effects.
+RELEASE = "fault.release"
+
+
+class FaultyCore:
+    """A protocol core under a :class:`FaultBehavior`.
+
+    Attributes other than its own fall through to the wrapped core, as
+    with :class:`repro.obs.tracer.TracedCore`.  A crashed core is never
+    called; its effects pass through ``behaviour.filter_effects``; each
+    :class:`Delayed` effect is held and replaced by a ``SetTimer`` under
+    a ``(RELEASE, n)`` key, and returned unfiltered when that timer fires
+    unless the node has crashed by then.  Hosts consult :meth:`admits`
+    before they charge or deliver anything.  Swapping :attr:`behaviour`
+    keeps what is held, so a pending release survives ``unfault``.
+    """
+
+    __slots__ = ("inner", "behaviour", "node_id", "held", "_keys")
+
+    def __init__(self, inner: object, behaviour: FaultBehavior) -> None:
+        self.inner = inner
+        self.behaviour = behaviour
+        self.node_id = inner.node_id
+        self.held: dict[tuple, Effect] = {}
+        self._keys = count()
+
+    def admits(self, sender: int, msg: Message, now: float) -> bool:
+        """The receipt gate: ``False`` discards ``msg`` unseen."""
+        behaviour = self.behaviour
+        return not (behaviour.crashed(now)
+                    or behaviour.drop_incoming(sender, msg, now))
+
+    # -- ProtocolCore surface ------------------------------------------
+
+    def start(self, now: float) -> list[Effect]:
+        if self.behaviour.crashed(now):
+            return []
+        return self._emit(self.inner.start(now), now)
+
+    def on_message(self, sender: int, msg: Message, now: float
+                   ) -> list[Effect]:
+        if self.behaviour.crashed(now):
+            return []
+        return self._emit(self.inner.on_message(sender, msg, now), now)
+
+    def on_timer(self, key: Hashable, now: float) -> list[Effect]:
+        held = self.held.pop(key, None)
+        if self.behaviour.crashed(now):
+            return []
+        if held is not None:
+            return [held]
+        return self._emit(self.inner.on_timer(key, now), now)
+
+    def _emit(self, effects: list[Effect], now: float) -> list[Effect]:
+        return [self._hold(effect) if isinstance(effect, Delayed)
+                else effect
+                for effect in self.behaviour.filter_effects(effects, now)]
+
+    def _hold(self, delayed: Delayed) -> SetTimer:
+        key = (RELEASE, next(self._keys))
+        self.held[key] = delayed.effect
+        return SetTimer(key, delayed.delay)
+
+    # -- transparency ---------------------------------------------------
+
+    def __getattr__(self, name: str):
+        return getattr(object.__getattribute__(self, "inner"), name)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        if name in FaultyCore.__slots__:
+            object.__setattr__(self, name, value)
+        else:
+            setattr(self.inner, name, value)
+
+
+def hosted_core(core: object, behaviour: FaultBehavior = HONEST,
+                tracer=None) -> object:
+    """The stack a host runs for ``core``: the fault innermost, then a
+    :class:`~repro.obs.tracer.TracedCore` when ``tracer`` is given.
+
+    An honest core is returned bare.  Given a stack this function built
+    (a hot swap), its :class:`FaultyCore` takes the new behaviour and is
+    dropped only when that is honest and nothing is held.
+    """
+    if isinstance(core, TracedCore):
+        core = core.inner
+    if isinstance(core, FaultyCore):
+        core.behaviour = behaviour
+        if behaviour is HONEST and not core.held:
+            core = core.inner
+    elif behaviour is not HONEST:
+        core = FaultyCore(core, behaviour)
+    return core if tracer is None else TracedCore(core, tracer)
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +371,34 @@ def fault_from_spec(spec: dict | None) -> FaultBehavior:
         return Combined(tuple(fault_from_spec(sub)
                               for sub in spec["behaviors"]))
     raise ValueError(f"unknown fault spec kind {kind!r}")
+
+
+def faults_section(faults: dict[int, FaultBehavior], scenario: str | None,
+                   events: list, restarts: int, shaping: dict | None = None
+                   ) -> dict | None:
+    """The report's ``faults`` section (``None`` for a clean run).
+
+    ``faults`` maps replica ids to injected behaviours (one with no spec
+    form is listed by its repr); ``shaping`` is the in-process live
+    shaper's snapshot.
+    """
+    if not (faults or events or restarts or scenario):
+        return None
+
+    def spec_or_custom(fault: FaultBehavior) -> dict | None:
+        try:
+            return fault_to_spec(fault)
+        except ValueError:
+            return {"kind": "custom", "repr": repr(fault)}
+
+    return {
+        "injected": {str(replica_id): spec_or_custom(fault)
+                     for replica_id, fault in sorted(faults.items())},
+        "scenario": scenario,
+        "events_applied": list(events),
+        "restarts": restarts,
+        "shaping": shaping,
+    }
 
 
 def partition_behavior(node_id: int, groups: list[frozenset[int]]

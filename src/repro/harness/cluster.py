@@ -27,7 +27,8 @@ from repro.faults import (
     Crash,
     FaultBehavior,
     fault_from_spec,
-    fault_to_spec,
+    faults_section,
+    hosted_core,
     partition_behavior,
 )
 from repro.obs.timeseries import TimeSeries
@@ -95,12 +96,13 @@ class Cluster:
     def install_tracer(self, tracer) -> None:
         """Record lifecycle traces for every node in this cluster.
 
-        Wraps each hosted core in the :mod:`repro.obs` boundary tracer;
-        chaos restarts re-wrap the rebuilt core automatically.
+        Re-stacks each hosted core with the :mod:`repro.obs` boundary
+        tracer outermost (:func:`repro.faults.hosted_core`); fault hot
+        swaps and chaos restarts keep it.
         """
         self.tracer = tracer
-        for node in self.sim.nodes.values():
-            node.install_tracer(tracer)
+        for node_id in self.sim.nodes:
+            self._restack(node_id)
 
     def _install_sampler(self) -> None:
         """Arm the recurring time-series host sampler (first run only).
@@ -204,11 +206,12 @@ class Cluster:
             return base
         return Combined((base, part))
 
-    def _refresh_fault(self, replica_id: int) -> None:
-        node = self.sim.nodes[replica_id]
-        fault = self._effective_fault(replica_id)
-        node.fault = fault
-        node._honest = fault is HONEST
+    def _restack(self, node_id: int, core=None) -> None:
+        """Host ``core`` (default: the node's current core) under the
+        node's effective fault and the cluster's tracer."""
+        node = self.sim.nodes[node_id]
+        node.host(hosted_core(node.core if core is None else core,
+                              self._effective_fault(node_id), self.tracer))
 
     def set_fault(self, replica_id: int, fault: FaultBehavior) -> None:
         """Hot-swap one replica's base fault behaviour mid-simulation."""
@@ -218,7 +221,7 @@ class Cluster:
             self.faults.pop(replica_id, None)
         else:
             self.faults[replica_id] = fault
-        self._refresh_fault(replica_id)
+        self._restack(replica_id)
 
     def restart_replica(self, replica_id: int) -> None:
         """Replace a crashed replica's core and arm catch-up.
@@ -231,23 +234,18 @@ class Cluster:
         live agreement (:mod:`repro.core.recovery`); recovery traffic
         flows through the modelled NICs like any other message.
         """
-        node = self.sim.nodes[replica_id]
-        if not node.fault.crashed:
+        if not self._effective_fault(replica_id).crashed(self.sim.now):
             raise ConfigError(
                 f"replica {replica_id} is not crashed; only a crashed "
                 "replica can be restarted")
         core = self.spec.make_replica(replica_id, self.config, self.context,
                                       self.metrics.perf)
-        node.core = core
         self.replicas[replica_id] = core
         self.faults.pop(replica_id, None)
-        self._refresh_fault(replica_id)
+        node = self.sim.nodes[replica_id]
         node._timer_generation.clear()
-        if hasattr(core, "backlog_probe"):
-            core.backlog_probe = node._backlog_probe
         core.begin_recovery()
-        if self.tracer is not None:
-            node.install_tracer(self.tracer)
+        self._restack(replica_id, core)
         node.boot()
         self.restarts += 1
 
@@ -263,15 +261,13 @@ class Cluster:
             self.partition_groups = [frozenset(group)
                                      for group in args["groups"]]
             for replica_id in range(self.n):
-                self._refresh_fault(replica_id)
+                self._restack(replica_id)
         elif event.op == "heal":
             self.partition_groups = []
             for replica_id in range(self.n):
-                self._refresh_fault(replica_id)
+                self._restack(replica_id)
         elif event.op == "crash":
-            crash = Crash(at=self.sim.now)
-            crash._now = self.sim.now  # latch crashed immediately
-            self.set_fault(args["node"], crash)
+            self.set_fault(args["node"], Crash(at=self.sim.now))
         elif event.op == "restart":
             self.restart_replica(args["node"])
         elif event.op == "fault":
@@ -288,24 +284,8 @@ class Cluster:
 
     def faults_summary(self) -> dict | None:
         """The report's ``faults`` section (``None`` for a clean run)."""
-        if not (self.faults or self.chaos_log or self.restarts
-                or self.scenario_name):
-            return None
-
-        def spec_or_custom(fault):
-            try:
-                return fault_to_spec(fault)
-            except ValueError:
-                return {"kind": "custom", "repr": repr(fault)}
-
-        return {
-            "injected": {str(replica_id): spec_or_custom(fault)
-                         for replica_id, fault in sorted(self.faults.items())},
-            "scenario": self.scenario_name,
-            "events_applied": list(self.chaos_log),
-            "restarts": self.restarts,
-            "shaping": None,  # live-only; key kept for shape parity
-        }
+        return faults_section(self.faults, self.scenario_name,
+                              self.chaos_log, self.restarts)
 
 
 def _bucket_width_hint(block_bytes: int, bandwidth_bps: float,
@@ -421,8 +401,8 @@ def build_cluster(
             replica_config = dc_replace(config, trace_phases=True)
         replica = spec.make_replica(replica_id, replica_config, context,
                                     metrics.perf)
-        sim.add_node(replica, cpu_model=replica_cpu,
-                     fault=faults.get(replica_id, HONEST))
+        sim.add_node(hosted_core(replica, faults.get(replica_id, HONEST)),
+                     cpu_model=replica_cpu)
         replicas.append(replica)
 
     clients = []

@@ -50,7 +50,13 @@ import time
 from pathlib import Path
 
 from repro.errors import ConfigError
-from repro.faults import FaultBehavior, fault_from_spec, fault_to_spec
+from repro.faults import (
+    FaultBehavior,
+    fault_from_spec,
+    fault_to_spec,
+    faults_section,
+    hosted_core,
+)
 from repro.net.chaos import PROCESS_OPS, ChaosScenario
 from repro.net.live import transport_summary
 from repro.net.node import LiveNode
@@ -326,12 +332,11 @@ def run_replica_from_spec(spec: dict) -> dict:
 
     # Static fault behaviours travel as plain-JSON specs (the behaviour
     # object itself never crosses the process boundary).
-    fault = fault_from_spec(spec.get("fault"))
-    node = LiveNode(core, router, range(n), metrics, clock, fault=fault)
     trace_capacity = spec.get("trace_capacity")
     tracer = RingTracer(int(trace_capacity)) if trace_capacity else None
-    if tracer is not None:
-        node.install_tracer(tracer)
+    node = LiveNode(
+        hosted_core(core, fault_from_spec(spec.get("fault")), tracer),
+        router, range(n), metrics, clock)
 
     async def sample_loop(series: TimeSeries) -> None:
         while True:
@@ -512,9 +517,8 @@ async def _serve_clients(clients: list, n: int,
     for core in clients:
         host, port = address_book[core.node_id]
         router = Router(core.node_id, address_book, host=host, port=port)
-        node = LiveNode(core, router, range(n), metrics, clock)
-        if tracer is not None:
-            node.install_tracer(tracer)
+        node = LiveNode(hosted_core(core, tracer=tracer), router, range(n),
+                        metrics, clock)
         nodes.append(node)
     try:
         await asyncio.gather(*(node.start() for node in nodes))
@@ -733,16 +737,10 @@ def run_live_processes(n: int = 4, client_count: int = 1,
                     f"); logs: {_tail_logs(log_paths)}")
             summaries[replica_id] = json.loads(path.read_text())
 
-    faults_section = None
-    if fault_specs or chaos_applied or scenario is not None:
-        faults_section = {
-            "injected": {str(replica_id): spec for replica_id, spec
-                         in sorted(fault_specs.items())},
-            "scenario": scenario.name if scenario is not None else None,
-            "events_applied": chaos_applied,
-            "restarts": respawns,
-            "shaping": None,  # needs the in-process shaper; not available
-        }
+    # No "shaping": that needs the in-process shaper.
+    fault_report = faults_section(
+        faults, scenario.name if scenario is not None else None,
+        chaos_applied, respawns)
     # Children timestamp on their process clock (epoch = spawn); the
     # parent measures from the post-boot epoch.  Shifting by the delta
     # lands every child bucket and trace event on the measurement clock.
@@ -769,7 +767,7 @@ def run_live_processes(n: int = 4, client_count: int = 1,
                          summaries=summaries, client_routers=client_routers,
                          measure_replica=measure_replica, warmup=warmup,
                          elapsed=elapsed, exit_codes=exit_codes,
-                         faults=faults_section, respawns=respawns,
+                         faults=fault_report, respawns=respawns,
                          timeseries=timeseries_section,
                          trace=trace_section)
 

@@ -109,21 +109,6 @@ class Trace(Effect):
     data: dict = field(default_factory=dict)
 
 
-@dataclass(slots=True)
-class Delayed(Effect):
-    """Apply ``effect`` after ``delay`` seconds of host time.
-
-    Produced by fault behaviours (:class:`repro.faults.DelaySend`) that
-    model slow/lagging replicas: the hosting backend — the simulator's
-    event queue or the live runtime's event loop — interprets the inner
-    effect late, without the core knowing it was delayed.  Honest cores
-    never emit this directly.
-    """
-
-    delay: float
-    effect: Effect
-
-
 class ProtocolCore(Protocol):
     """The sans-io surface that hosts (simulator or tests) drive."""
 

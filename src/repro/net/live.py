@@ -21,7 +21,13 @@ from __future__ import annotations
 import asyncio
 
 from repro.errors import ConfigError
-from repro.faults import HONEST, FaultBehavior, fault_from_spec, fault_to_spec
+from repro.faults import (
+    HONEST,
+    FaultBehavior,
+    fault_from_spec,
+    faults_section,
+    hosted_core,
+)
 from repro.net.chaos import ChaosScenario, run_scenario_live
 from repro.net.node import LiveNode
 from repro.net.shaping import LinkPolicy, LinkShaper
@@ -175,11 +181,8 @@ class LiveCluster:
         for core in [*self.replicas, *self.clients]:
             router = Router(core.node_id, self.address_book, host=self.host,
                             shaper=self.shaper)
-            node = LiveNode(
-                core, router, range(self.n), self.metrics, self.clock,
-                fault=self.faults.get(core.node_id, HONEST))
-            if self.tracer is not None:
-                node.install_tracer(self.tracer)
+            node = LiveNode(self._stack(core), router, range(self.n),
+                            self.metrics, self.clock)
             self.nodes[core.node_id] = node
         # All listeners must be routable before any core starts sending.
         results = await asyncio.gather(
@@ -249,11 +252,8 @@ class LiveCluster:
         self.replicas[replica_id] = core
         router = Router(core.node_id, self.address_book, host=address[0],
                         port=address[1], shaper=self.shaper)
-        node = LiveNode(core, router, range(self.n), self.metrics,
-                        self.clock,
-                        fault=self.faults.get(replica_id, HONEST))
-        if self.tracer is not None:
-            node.install_tracer(self.tracer)
+        node = LiveNode(self._stack(core), router, range(self.n),
+                        self.metrics, self.clock)
         self.nodes[replica_id] = node
         await node.start()
         node.boot()
@@ -267,7 +267,14 @@ class LiveCluster:
             self.faults.pop(replica_id, None)
         else:
             self.faults[replica_id] = fault
-        self.nodes[replica_id].fault = fault
+        node = self.nodes[replica_id]
+        node.host(self._stack(node.core))
+
+    def _stack(self, core):
+        """``core`` stacked with its node's fault and the run's tracer
+        (:func:`repro.faults.hosted_core`)."""
+        return hosted_core(core, self.faults.get(core.node_id, HONEST),
+                           self.tracer)
 
     async def apply_chaos_event(self, event) -> None:
         """Execute one resolved chaos event against this deployment."""
@@ -389,23 +396,9 @@ class LiveCluster:
 
     def faults_summary(self) -> dict | None:
         """The report's ``faults`` section (``None`` for a clean run)."""
-        if not (self.faults or self.chaos_log or self.restarts
-                or self.scenario_name):
-            return None
-        def spec_or_custom(fault):
-            try:
-                return fault_to_spec(fault)
-            except ValueError:
-                return {"kind": "custom", "repr": repr(fault)}
-
-        return {
-            "injected": {str(replica_id): spec_or_custom(fault)
-                         for replica_id, fault in sorted(self.faults.items())},
-            "scenario": self.scenario_name,
-            "events_applied": list(self.chaos_log),
-            "restarts": self.restarts,
-            "shaping": self.shaper.snapshot(),
-        }
+        return faults_section(self.faults, self.scenario_name,
+                              self.chaos_log, self.restarts,
+                              shaping=self.shaper.snapshot())
 
 
 async def run_live(n: int = 4, client_count: int = 1,

@@ -10,11 +10,14 @@ and modelled NICs.  Because both hosts honour the identical
 :class:`repro.interfaces.ProtocolCore` contract, a replica or client core
 runs unmodified under either backend.
 
-Fault injection happens at the same boundary as in the simulator: a
-:class:`repro.faults.FaultBehavior` filters the core's inbound messages
-and outbound effects, so ``Crash``/``Mute``/``SelectiveDisseminator``/
-``DropIncoming``/``DelaySend`` behaviours written against the sim run
-unchanged on real sockets.
+Faults live in the hosted stack, not here: a faulty replica's core comes
+wrapped in a :class:`repro.faults.FaultyCore` (stacked by
+:func:`repro.faults.hosted_core`), which filters what the core emits and
+realises ``DelaySend`` through ordinary timers.  The node keeps one
+receipt gate, :attr:`LiveNode.admits` — the wrapper's ``admits``, ``None``
+for a stack with no fault — so ``Crash``/``Mute``/
+``SelectiveDisseminator``/``DropIncoming``/``DelaySend`` behaviours
+written against the sim run unchanged on real sockets.
 """
 
 from __future__ import annotations
@@ -22,11 +25,9 @@ from __future__ import annotations
 import asyncio
 from typing import Callable, Hashable, Iterable
 
-from repro.faults import HONEST, FaultBehavior
 from repro.interfaces import (
     Broadcast,
     CancelTimer,
-    Delayed,
     Effect,
     Executed,
     ProtocolCore,
@@ -42,51 +43,36 @@ class LiveNode:
     """One live node (replica or client) on the local event loop.
 
     Args:
-        core: the sans-io protocol core to host.
+        core: the sans-io protocol core to host, bare or stacked by
+            :func:`repro.faults.hosted_core`.
         router: this node's transport endpoint.
         replica_ids: ids that :class:`Broadcast` effects expand to.
         metrics: shared metrics sink.
         clock: returns seconds since the cluster epoch (the live ``now``).
-        fault: behaviour filter applied at the core's io boundary; the
-            default :data:`~repro.faults.HONEST` is a zero-cost pass.
     """
 
     def __init__(self, core: ProtocolCore, router: Router,
                  replica_ids: Iterable[int], metrics: MetricsCollector,
-                 clock: Callable[[], float],
-                 fault: FaultBehavior = HONEST) -> None:
-        self.core = core
+                 clock: Callable[[], float]) -> None:
         self.node_id = core.node_id
         self.router = router
         self.replica_ids = tuple(replica_ids)
         self.metrics = metrics
         self.clock = clock
-        self.fault = fault
         self.crashed = False
         self._timer_generation: dict[Hashable, int] = {}
         self._timer_handles: dict[Hashable, asyncio.TimerHandle] = {}
+        self.host(core)
+
+    def host(self, core: ProtocolCore) -> None:
+        """Host ``core`` (at build, or re-stacked on a fault hot swap)
+        and take its receipt gate (``None`` unless a fault is in it)."""
+        self.core = core
+        self.admits = getattr(core, "admits", None)
         # Same pacing contract the simulator offers: cores that throttle
         # on local egress backlog read the transport's queue depth.
         if hasattr(core, "backlog_probe"):
-            core.backlog_probe = router.backlog_seconds
-
-    @property
-    def _honest(self) -> bool:
-        return self.fault is HONEST
-
-    def install_tracer(self, tracer) -> None:
-        """Enable lifecycle tracing by wrapping the hosted core.
-
-        Same contract as :meth:`repro.sim.node.SimNode.install_tracer`:
-        the :class:`repro.obs.tracer.TracedCore` wrapper stamps events
-        at the sans-io boundary, nothing changes for untraced nodes,
-        and the call is idempotent per hosted core (re-invoke after a
-        restart swaps in a fresh core).
-        """
-        from repro.obs.tracer import TracedCore
-
-        if not isinstance(self.core, TracedCore):
-            self.core = TracedCore(self.core, tracer)
+            core.backlog_probe = self.router.backlog_seconds
 
     async def start(self) -> None:
         """Bind this node's listener (address becomes routable)."""
@@ -100,11 +86,9 @@ class LiveNode:
         """Transport fan-in: one decoded message for the core."""
         if self.crashed:
             return
-        if not self._honest:
-            if self.fault.crashed:
-                return
-            if self.fault.drop_incoming(sender, msg, self.clock()):
-                return
+        admits = self.admits
+        if admits is not None and not admits(sender, msg, self.clock()):
+            return
         self._apply(self.core.on_message(sender, msg, self.clock()))
 
     def _fire_timer(self, key: Hashable, generation: int) -> None:
@@ -114,18 +98,12 @@ class LiveNode:
         self._timer_handles.pop(key, None)
         if self.crashed:
             return
-        if not self._honest and self.fault.crashed:
-            return
         self._apply(self.core.on_timer(key, self.clock()))
 
     def _apply(self, effects: list[Effect]) -> None:
-        if not self._honest:
-            effects = self.fault.filter_effects(effects, self.clock())
-        if effects:
-            self._interpret(effects)
-
-    def _interpret(self, effects: list[Effect]) -> None:
-        """Execute already-filtered effects (no fault rewrite pass)."""
+        """Execute the effects the hosted core returned."""
+        if not effects:
+            return
         now = self.clock()
         for effect in effects:
             if isinstance(effect, Send):
@@ -145,19 +123,9 @@ class LiveNode:
                 self.metrics.record_execution(
                     self.node_id, effect.count, now)
             elif isinstance(effect, Trace):
-                self._record_trace(effect, now)
-            elif isinstance(effect, Delayed):
-                asyncio.get_running_loop().call_later(
-                    effect.delay, self._interpret_delayed, effect.effect)
+                self.metrics.record_trace(effect.kind, effect.data, now)
             else:
                 raise TypeError(f"unknown effect {effect!r}")
-
-    def _interpret_delayed(self, effect: Effect) -> None:
-        if self.crashed:
-            return
-        if not self._honest and self.fault.crashed:
-            return
-        self._interpret([effect])
 
     def _set_timer(self, key: Hashable, delay: float) -> None:
         generation = self._timer_generation.get(key, 0) + 1
@@ -175,16 +143,6 @@ class LiveNode:
         if handle is not None:
             handle.cancel()
 
-    def _record_trace(self, effect: Trace, now: float) -> None:
-        if effect.kind == "ack":
-            self.metrics.record_ack(effect.data["submitted_at"], now)
-        elif effect.kind == "phase":
-            self.metrics.record_phase(
-                effect.data["phase"], effect.data["duration"], now)
-        elif effect.kind == "retransmit":
-            self.metrics.record_retransmission()
-        # Other trace kinds are diagnostics; ignored, as in SimNode.
-
     async def kill(self) -> None:
         """Crash-stop this node: no more timers, sockets torn down.
 
@@ -193,23 +151,18 @@ class LiveNode:
         replica presents.
         """
         self.crashed = True
-        self._cancel_all_timers()
-        await self.router.close()
-
-    async def shutdown(self) -> None:
-        """Graceful teardown at the end of a run.
-
-        Marks the node crashed first: the measurement window is frozen
-        by the time shutdown runs, so late frames from still-open inbound
-        connections must not keep executing (that would inflate the
-        reported throughput past the window).
-        """
-        self.crashed = True
-        self._cancel_all_timers()
-        await self.router.close()
-
-    def _cancel_all_timers(self) -> None:
         for handle in self._timer_handles.values():
             handle.cancel()
         self._timer_handles.clear()
         self._timer_generation.clear()
+        await self.router.close()
+
+    async def shutdown(self) -> None:
+        """Graceful teardown at the end of a run: a :meth:`kill`.
+
+        The node is marked crashed first: the measurement window is
+        frozen by the time shutdown runs, so late frames from still-open
+        inbound connections must not keep executing (that would inflate
+        the reported throughput past the window).
+        """
+        await self.kill()

@@ -5,8 +5,11 @@ consults a tracer.  Enabling it wraps a protocol core in
 :class:`TracedCore`, which stamps one event per delivered message and one
 per identity-bearing effect (send/broadcast/execute/trace) before handing
 the unmodified effect list back to the host.  Both backends host the same
-wrapper — ``SimNode.install_tracer`` and ``LiveNode.install_tracer`` —
-so a simulated run and a live TCP run emit the same trace schema.
+wrapper, stacked by :func:`repro.faults.hosted_core` outside any
+:class:`repro.faults.FaultyCore`: a faulty replica's trace shows what
+its fault let onto the network (a delayed send at its release time, a
+crashed replica's silence), and a simulated run and a live TCP run emit
+the same trace schema.
 
 Events are keyed by :func:`trace_key` so a request can be followed across
 nodes: ``("req", client, bundle)`` for client bundles and acks,
@@ -18,7 +21,7 @@ the chain back into per-request phase spans.
 
 from __future__ import annotations
 
-from repro.interfaces import Broadcast, Delayed, Executed, Send, Trace
+from repro.interfaces import Broadcast, Executed, Send, Trace
 
 
 class NullTracer:
@@ -220,11 +223,12 @@ class TracedCore:
     """Wrap a protocol core, stamping lifecycle events at its boundary.
 
     Transparent to the host: every attribute read/write falls through to
-    the wrapped core (``backlog_probe`` wiring, config access and
-    fault-injection hooks keep working), and the effect lists pass
-    through unmodified.  Message ingress stamps a ``recv`` event;
-    returned effects stamp ``send`` / ``bcast`` / ``exec`` / ``note``
-    events at the same protocol time the host interprets them.
+    the wrapped core (``backlog_probe`` wiring, config access and a
+    :class:`repro.faults.FaultyCore`'s ``admits`` gate keep working),
+    and the effect lists pass through unmodified.  Message ingress
+    stamps a ``recv`` event; returned effects stamp ``send`` /
+    ``bcast`` / ``exec`` / ``note`` events at the same protocol time the
+    host interprets them.
     """
 
     __slots__ = ("inner", "tracer", "node_id")
@@ -276,8 +280,6 @@ class TracedCore:
             elif isinstance(effect, Trace):
                 record(now, node, "note", effect.kind, None,
                        dict(effect.data))
-            elif isinstance(effect, Delayed):
-                self._scan([effect.effect], now)
 
     # -- transparency ---------------------------------------------------
 

@@ -163,9 +163,10 @@ class Transmission(EventRecord):
         This is the innermost per-copy frame of the simulator: rx
         serialization, byte accounting, CPU-lane reservation and the
         core-callback insert all happen here, against the host's
-        documented hot-path fields (``_honest``, the two lane clocks,
-        ``_deliver_ready``).  Faulty hosts and routers without a
-        ``nodes`` map take the general :meth:`SimNode.receive_at` path.
+        documented hot-path fields (``admits``, the two lane clocks,
+        ``_deliver_ready``).  Hosts with a receipt gate (a fault in
+        their stack) and routers without a ``nodes`` map take the
+        general :meth:`SimNode.receive_at` path.
         """
         nic = self.nics[dest]
         queue = self.queue
@@ -191,7 +192,7 @@ class Transmission(EventRecord):
         node = nodes.get(dest)
         if node is None:
             return
-        if not node._honest:
+        if node.admits is not None:
             node.receive_at(self.src, self.msg, delivered)
             return
         msg = self.msg

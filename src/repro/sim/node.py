@@ -1,28 +1,27 @@
 """Hosts: the glue between a sans-io protocol core and the simulator.
 
 A :class:`SimNode` owns one protocol core and interprets its effects —
-sends become NIC transmissions, timers become queue events — while applying
-two cross-cutting models:
+sends become NIC transmissions, timers become queue events — under a
+**CPU cost model** (callable ``(msg, receiving) -> seconds``): each node
+has a single modelled CPU whose busy time delays message handling; this
+is what caps throughput when bandwidth is plentiful (see
+:mod:`repro.analysis.calibration`).
 
-* a **CPU cost model** (callable ``(msg, receiving) -> seconds``): each node
-  has a single modelled CPU whose busy time delays message handling; this is
-  what caps throughput when bandwidth is plentiful (see
-  :mod:`repro.analysis.calibration`);
-* a **fault behaviour** (:mod:`repro.faults`) that can rewrite outgoing
-  effects and drop incoming messages, realising the paper's Byzantine
-  adversary.
+The host has no fault logic: a faulty replica's core comes wrapped in a
+:class:`repro.faults.FaultyCore` (see :func:`repro.faults.hosted_core`).
+The node keeps one receipt gate, :attr:`SimNode.admits` — the wrapper's
+``admits``, ``None`` with no fault in the stack — consulted *before* the
+CPU lane is charged, so a dropped message costs nothing, as modelled.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Hashable, Iterable
 
-from repro.faults import HONEST, FaultBehavior
 from repro.interfaces import (
     DATA_PLANE_CLASSES,
     Broadcast,
     CancelTimer,
-    Delayed,
     Effect,
     Executed,
     Message,
@@ -47,36 +46,30 @@ class SimNode:
     """One simulated node (replica or client).
 
     Args:
-        core: the sans-io protocol core to host.
+        core: the sans-io protocol core to host, bare or stacked by
+            :func:`repro.faults.hosted_core`.
         network: shared network model.
         queue: shared event queue.
         metrics: shared metrics sink.
         replica_ids: ids that :class:`Broadcast` effects expand to.
         cpu_model: per-message CPU cost model.
-        fault: Byzantine behaviour wrapper (honest by default).
     """
 
-    __slots__ = ("core", "node_id", "network", "queue", "metrics",
-                 "replica_ids", "cpu_model", "fault", "_honest",
-                 "data_busy_until", "ctrl_busy_until", "_timer_generation",
-                 "_timer_seq", "router")
+    __slots__ = ("core", "admits", "node_id", "network", "queue", "metrics",
+                 "replica_ids", "cpu_model", "data_busy_until",
+                 "ctrl_busy_until", "_timer_generation", "_timer_seq",
+                 "router")
 
     def __init__(self, core: ProtocolCore, network: Network,
                  queue: EventQueue, metrics: MetricsCollector,
                  replica_ids: Iterable[int],
-                 cpu_model: CpuModel = zero_cpu,
-                 fault: FaultBehavior = HONEST) -> None:
-        self.core = core
+                 cpu_model: CpuModel = zero_cpu) -> None:
         self.node_id = core.node_id
         self.network = network
         self.queue = queue
         self.metrics = metrics
         self.replica_ids = tuple(replica_ids)
         self.cpu_model = cpu_model
-        self.fault = fault
-        #: Fast-path flag: honest nodes skip the crash/drop checks and
-        #: the effect-rewrite hook on every delivery.
-        self._honest = fault is HONEST
         self.data_busy_until = 0.0
         self.ctrl_busy_until = 0.0
         self._timer_generation: dict[Hashable, int] = {}
@@ -87,25 +80,18 @@ class SimNode:
         #: Set by :class:`repro.sim.runner.Simulation`; routes delivered
         #: messages to the destination host. ``None`` in host-less tests.
         self.router = None
+        self.host(core)
+
+    def host(self, core: ProtocolCore) -> None:
+        """Host ``core`` (at build, fault hot swap or restart) and take
+        its receipt gate: ``None`` unless a fault is in the stack, which
+        keeps the fast path of ``Transmission.arrive``."""
+        self.core = core
+        self.admits = getattr(core, "admits", None)
         # Give cores that pace themselves (datablock generators) a view of
         # their own NIC backlog, without coupling core code to the simulator.
         if hasattr(core, "backlog_probe"):
             core.backlog_probe = self._backlog_probe
-
-    def install_tracer(self, tracer) -> None:
-        """Enable lifecycle tracing by wrapping the hosted core.
-
-        Tracing lives entirely in the :class:`repro.obs.tracer.
-        TracedCore` wrapper at the sans-io boundary, so a node that
-        never installs a tracer pays nothing — no flag checks on the
-        delivery or effect hot paths (the <2% disabled-overhead policy
-        gated by ``benchmarks/run_sim_bench.py``).  Idempotent per
-        core: call again after swapping :attr:`core` (restarts).
-        """
-        from repro.obs.tracer import TracedCore
-
-        if not isinstance(self.core, TracedCore):
-            self.core = TracedCore(self.core, tracer)
 
     def _backlog_probe(self) -> float:
         """Seconds of queued egress work at this node's NIC."""
@@ -118,19 +104,15 @@ class SimNode:
     def _start(self) -> None:
         self._apply(self.core.start(self.queue.now))
 
-    def _charge_cpu(self, cost: float, msg_class: str) -> float:
-        """Occupy the matching CPU lane for ``cost`` seconds.
-
-        Returns the time the work completes.
-        """
-        now = self.queue._now
+    def _charge_cpu(self, cost: float, msg_class: str, at: float) -> float:
+        """Occupy the matching CPU lane for ``cost`` seconds from ``at``
+        (or once it is free); returns the time the work completes."""
         if msg_class in DATA_PLANE_CLASSES:
-            start = self.data_busy_until if self.data_busy_until > now \
-                else now
-            self.data_busy_until = start + cost
+            busy = self.data_busy_until
+            self.data_busy_until = (busy if busy > at else at) + cost
             return self.data_busy_until
-        start = self.ctrl_busy_until if self.ctrl_busy_until > now else now
-        self.ctrl_busy_until = start + cost
+        busy = self.ctrl_busy_until
+        self.ctrl_busy_until = (busy if busy > at else at) + cost
         return self.ctrl_busy_until
 
     def deliver(self, sender: int, msg: Message) -> None:
@@ -141,12 +123,11 @@ class SimNode:
         enter through :meth:`receive_at` instead.
         """
         now = self.queue.now
-        if self.fault.crashed:
+        admits = self.admits
+        if admits is not None and not admits(sender, msg, now):
             return
-        if self.fault.drop_incoming(sender, msg, now):
-            return
-        cost = self.cpu_model(msg, True)
-        ready_at = self._charge_cpu(cost, msg.msg_class)
+        ready_at = self._charge_cpu(self.cpu_model(msg, True),
+                                    msg.msg_class, now)
         if ready_at <= now:
             self._apply(self.core.on_message(sender, msg, now))
         else:
@@ -161,39 +142,28 @@ class SimNode:
 
         Called at wire-*arrival* time
         (:meth:`repro.sim.network.Transmission.arrive` takes this path
-        for faulty hosts): the lane is reserved immediately from
-        ``max(lane_busy, delivered)`` and a single event fires the core
-        when the work completes.  Delivery-complete times are
+        for hosts with a receipt gate): the lane is reserved immediately
+        from ``max(lane_busy, delivered)`` and a single event fires the
+        core when the work completes.  Delivery-complete times are
         FIFO-monotone per node, so reserving in arrival order yields the
         schedule reserving at delivery-complete time would.
 
-        Fault timing: crash/drop checks run at arrival time, and a
-        crashed node re-checks at the core callback.
+        The gate runs at arrival time; a core that crashes while the
+        message waits for its lane is silenced by its fault wrapper.
         """
         queue = self.queue
-        if not self._honest:
-            if self.fault.crashed:
-                return
-            if self.fault.drop_incoming(sender, msg, queue._now):
-                return
-        cost = self.cpu_model(msg, True)
-        if msg.msg_class in DATA_PLANE_CLASSES:
-            busy = self.data_busy_until
-            start = busy if busy > delivered else delivered
-            ready_at = self.data_busy_until = start + cost
-        else:
-            busy = self.ctrl_busy_until
-            start = busy if busy > delivered else delivered
-            ready_at = self.ctrl_busy_until = start + cost
+        admits = self.admits
+        if admits is not None and not admits(sender, msg, queue._now):
+            return
+        ready_at = self._charge_cpu(self.cpu_model(msg, True),
+                                    msg.msg_class, delivered)
         queue.push(ready_at, self._deliver_ready, (sender, msg))
 
     def _deliver_ready(self, pending: tuple[int, Message]) -> None:
         """CPU-lane completion: run the core on a delayed message."""
         sender, msg = pending
-        if not self._honest and self.fault.crashed:
-            return
         effects = self.core.on_message(sender, msg, self.queue._now)
-        if effects or not self._honest:
+        if effects:
             self._apply(effects)
 
     def _fire_timer(self, armed: tuple[Hashable, int]) -> None:
@@ -202,26 +172,18 @@ class SimNode:
         if generations.get(key) != generation:
             return  # re-armed or cancelled since scheduling
         del generations[key]
-        if not self.fault.crashed:
-            self._apply(self.core.on_timer(key, self.queue._now))
+        effects = self.core.on_timer(key, self.queue._now)
+        if effects:
+            self._apply(effects)
 
     def _apply(self, effects: list[Effect]) -> None:
-        if not self._honest:
-            # Honest pass-through is the identity, so honest nodes skip
-            # the rewrite hook.
-            effects = self.fault.filter_effects(effects, self.queue._now)
-        if not effects:
-            return
-        self._interpret(effects)
-
-    def _interpret(self, effects: list[Effect]) -> None:
-        """Execute already-filtered effects (no fault rewrite pass)."""
+        """Execute the effects the hosted core returned."""
         now = self.queue._now
         for effect in effects:
             if isinstance(effect, Send):
                 msg = effect.msg
                 self._charge_cpu(
-                    self.cpu_model(msg, False), msg.msg_class)
+                    self.cpu_model(msg, False), msg.msg_class, now)
                 self.network.send_unicast(
                     self.node_id, effect.dest, msg, self.queue.now,
                     self.queue, self.router)
@@ -238,7 +200,7 @@ class SimNode:
                 # the per-copy loop.
                 self._charge_cpu(
                     self.cpu_model(msg, False) * len(dests),
-                    msg.msg_class)
+                    msg.msg_class, now)
                 self.network.send_broadcast(
                     self.node_id, dests, msg, self.queue.now,
                     self.queue, self.router)
@@ -255,30 +217,6 @@ class SimNode:
                 self.metrics.record_execution(
                     self.node_id, effect.count, now)
             elif isinstance(effect, Trace):
-                self._record_trace(effect, now)
-            elif isinstance(effect, Delayed):
-                # A fault wrapped this effect in a lag (DelaySend).  The
-                # inner effect is interpreted raw at the later time — NOT
-                # re-filtered, or the fault would delay it again forever.
-                self.queue.schedule(now + effect.delay,
-                                    lambda e=effect.effect:
-                                    self._interpret_delayed(e))
+                self.metrics.record_trace(effect.kind, effect.data, now)
             else:
                 raise TypeError(f"unknown effect {effect!r}")
-
-    def _interpret_delayed(self, effect: Effect) -> None:
-        """Fire one lag-released effect (unless the node crashed since)."""
-        if not self._honest and self.fault.crashed:
-            return
-        self._interpret([effect])
-
-    def _record_trace(self, effect: Trace, now: float) -> None:
-        if effect.kind == "ack":
-            self.metrics.record_ack(effect.data["submitted_at"], now)
-        elif effect.kind == "phase":
-            self.metrics.record_phase(
-                effect.data["phase"], effect.data["duration"], now)
-        elif effect.kind == "retransmit":
-            self.metrics.record_retransmission()
-        # Unknown trace kinds are allowed and ignored: cores may emit extra
-        # diagnostics that only specific tests look at.

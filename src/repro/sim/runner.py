@@ -11,7 +11,6 @@ from __future__ import annotations
 import time
 
 from repro.errors import SimulationError
-from repro.faults import HONEST, FaultBehavior
 from repro.interfaces import Message, ProtocolCore
 from repro.sim.events import EventQueue
 from repro.sim.network import Network
@@ -52,15 +51,15 @@ class Simulation:
         return self.queue.now
 
     def add_node(self, core: ProtocolCore,
-                 cpu_model: CpuModel = zero_cpu,
-                 fault: FaultBehavior = HONEST) -> SimNode:
-        """Register and boot-schedule a node hosting ``core``."""
+                 cpu_model: CpuModel = zero_cpu) -> SimNode:
+        """Register and boot-schedule a node hosting ``core`` (a faulty
+        node's is its :func:`repro.faults.hosted_core` stack)."""
         if core.node_id in self.nodes:
             raise SimulationError(f"duplicate node id {core.node_id}")
         if not 0 <= core.node_id < self.network.node_count:
             raise SimulationError(f"node id {core.node_id} outside network")
         node = SimNode(core, self.network, self.queue, self.metrics,
-                       range(self.replica_count), cpu_model, fault)
+                       range(self.replica_count), cpu_model)
         node.router = self
         self.nodes[core.node_id] = node
         node.boot()

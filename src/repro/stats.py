@@ -326,6 +326,16 @@ class MetricsCollector:
             self.phase_durations.get(phase, 0.0) + duration)
         self.phase_counts[phase] = self.phase_counts.get(phase, 0) + 1
 
+    def record_trace(self, kind: str, data: dict, now: float) -> None:
+        """Account one ``Trace`` effect a host ran.  Kinds other than
+        ack/phase/retransmit are diagnostics for tests, ignored here."""
+        if kind == "ack":
+            self.record_ack(data["submitted_at"], now)
+        elif kind == "phase":
+            self.record_phase(data["phase"], data["duration"], now)
+        elif kind == "retransmit":
+            self.record_retransmission()
+
     def throughput(self, node_id: int, duration: float) -> float:
         """Requests/second executed at ``node_id`` over ``duration`` seconds."""
         if duration <= 0:

@@ -2,10 +2,11 @@
 
 Each ``<protocol>-<scenario>.json`` beside this module is the canonical
 report of one simulated run at n = 16: 1 s measured after 0.25 s of
-warm-up, 2000 req/s in bundles of 100, seed 0, fault-free or under the
-``crash-recover`` scenario.  Only ``sim_events_per_sec`` (a wall-clock
-rate) is stripped.  A change that moves any modelled number fails here
-with the changed keys listed.
+warm-up, 2000 req/s in bundles of 100, seed 0, fault-free or under one
+of the ``crash-recover``, ``slow-replica`` (``DelaySend``) and
+``partition-heal`` (``DropIncoming``) scenarios.  Only
+``sim_events_per_sec`` (a wall-clock rate) is stripped.  A change that
+moves any modelled number fails here with the changed keys listed.
 
 Integers, strings and the key set must match exactly; floats match to
 a relative 1e-9.  The slack is for the interpreter, not the model:
@@ -31,7 +32,8 @@ from repro.harness.spec import RunSpec, execute
 
 GOLDEN = Path(__file__).resolve().parent
 PROTOCOLS = ("leopard", "pbft", "hotstuff")
-SCENARIOS = ("fault-free", "crash-recover")
+SCENARIOS = ("fault-free", "crash-recover", "slow-replica",
+             "partition-heal")
 #: Wall-clock fields, the only ones that may differ between runs.
 UNPINNED = ("sim_events_per_sec",)
 

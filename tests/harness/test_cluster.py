@@ -12,8 +12,14 @@ from repro.harness import (
     build_pbft_cluster,
     throttle_all_replicas,
 )
-from repro.faults import Crash
+from repro.faults import HONEST, Crash, FaultyCore
 from repro.protocols import PROTOCOLS
+
+
+def _behaviour(node):
+    """The fault a simulated node's stack holds (``HONEST`` for none)."""
+    core = node.core
+    return core.behaviour if isinstance(core, FaultyCore) else HONEST
 
 
 class TestLeopardBuilder:
@@ -163,17 +169,18 @@ class TestSimChaos:
 
     def test_partition_wraps_and_heal_unwraps_faults(self):
         from repro.net.chaos import ChaosEvent
-        from repro.faults import HONEST
 
         cluster = self._cluster()
         cluster.apply_chaos_event(ChaosEvent(
             0.0, "partition", {"groups": [[3], [0, 1, 2]]}))
-        assert cluster.sim.nodes[3].fault.drop_incoming(
+        assert not cluster.sim.nodes[3].admits(
             0, _ProbeMsg("datablock"), 0.0)
-        assert not cluster.sim.nodes[0].fault.drop_incoming(
-            1, _ProbeMsg("datablock"), 0.0)
+        assert cluster.sim.nodes[0].admits(1, _ProbeMsg("datablock"), 0.0)
         cluster.apply_chaos_event(ChaosEvent(1.0, "heal", {}))
-        assert all(cluster.sim.nodes[r].fault is HONEST for r in range(4))
+        for replica_id in range(4):
+            node = cluster.sim.nodes[replica_id]
+            assert node.core is cluster.replicas[replica_id]
+            assert node.admits is None
 
     def test_partition_combines_with_injected_fault(self):
         from repro.net.chaos import ChaosEvent
@@ -182,11 +189,11 @@ class TestSimChaos:
         cluster = self._cluster(faults={3: Mute(frozenset({"vote"}))})
         cluster.apply_chaos_event(ChaosEvent(
             0.0, "partition", {"groups": [[3], [0, 1, 2]]}))
-        fault = cluster.sim.nodes[3].fault
+        fault = _behaviour(cluster.sim.nodes[3])
         assert fault.drop_incoming(0, _ProbeMsg("datablock"), 0.0)
         assert fault.filter_effects([], 0.0) == []
         cluster.apply_chaos_event(ChaosEvent(1.0, "heal", {}))
-        assert isinstance(cluster.sim.nodes[3].fault, Mute)
+        assert isinstance(_behaviour(cluster.sim.nodes[3]), Mute)
 
     def test_restart_requires_prior_crash(self):
         from repro.net.chaos import ChaosEvent
@@ -216,16 +223,82 @@ class TestSimChaos:
 
     def test_slow_replica_scenario_swaps_fault_in_and_out(self):
         from repro.net.chaos import load_scenario, schedule_scenario_sim
-        from repro.faults import DelaySend, HONEST
+        from repro.faults import DelaySend
 
         cluster = self._cluster()
         resolved = schedule_scenario_sim(
             cluster, load_scenario("slow-replica"))
         victim = resolved.events[0].args["node"]
         cluster.run(2.0)  # past the fault, before the unfault
-        assert isinstance(cluster.sim.nodes[victim].fault, DelaySend)
+        assert isinstance(_behaviour(cluster.sim.nodes[victim]), DelaySend)
         cluster.run(1.5)
-        assert cluster.sim.nodes[victim].fault is HONEST
+        assert _behaviour(cluster.sim.nodes[victim]) is HONEST
+
+    def test_honest_nodes_host_bare_cores_on_the_fast_path(
+            self, monkeypatch):
+        from repro.faults import Mute
+        from repro.sim.node import SimNode
+
+        general = []
+        receive_at = SimNode.receive_at
+
+        def spy(node, sender, msg, delivered):
+            general.append(node.node_id)
+            receive_at(node, sender, msg, delivered)
+
+        monkeypatch.setattr(SimNode, "receive_at", spy)
+        cluster = self._cluster(faults={3: Mute(frozenset({"vote"}))})
+        cluster.run(1.0)
+        cores = cluster.replicas + cluster.clients
+        for node_id, node in cluster.sim.nodes.items():
+            if node_id == 3:
+                assert isinstance(node.core, FaultyCore)
+                assert node.core.inner is cores[3]
+            else:
+                assert node.core is cores[node_id]
+                assert node.admits is None
+        # Only the faulty replica's arrivals take the general path.
+        assert general and set(general) == {3}
+
+    def test_traced_stack_puts_the_fault_innermost(self):
+        from repro.faults import Mute
+        from repro.net.chaos import ChaosEvent
+        from repro.obs.tracer import RingTracer, TracedCore
+
+        cluster = self._cluster(faults={3: Mute(frozenset({"vote"}))})
+        cluster.install_tracer(RingTracer())
+        for node_id, node in cluster.sim.nodes.items():
+            assert isinstance(node.core, TracedCore)
+            inner = node.core.inner
+            if node_id == 3:
+                assert isinstance(inner, FaultyCore)
+                assert inner.inner is cluster.replicas[3]
+                assert node.admits == inner.admits
+            else:
+                assert inner is (cluster.replicas + cluster.clients)[node_id]
+        # Hot swaps and restarts keep the order.
+        cluster.apply_chaos_event(ChaosEvent(0.0, "crash", {"node": 3}))
+        node = cluster.sim.nodes[3]
+        assert isinstance(node.core.inner, FaultyCore)
+        assert isinstance(node.core.inner.behaviour, Crash)
+        cluster.apply_chaos_event(ChaosEvent(0.0, "restart", {"node": 3}))
+        assert isinstance(node.core, TracedCore)
+        assert node.core.inner is cluster.replicas[3]
+
+    def test_restart_drops_held_releases(self):
+        from repro.faults import DelaySend
+        from repro.net.chaos import ChaosEvent
+
+        cluster = self._cluster(faults={3: DelaySend(delay=0.5)})
+        cluster.run(0.6)
+        old = cluster.sim.nodes[3].core
+        assert old.held  # sends waiting for their release timers
+        cluster.apply_chaos_event(ChaosEvent(0.6, "crash", {"node": 3}))
+        cluster.apply_chaos_event(ChaosEvent(0.6, "restart", {"node": 3}))
+        held = dict(old.held)
+        cluster.run(1.0)
+        # The restart cleared the release timers: none of them fired.
+        assert old.held == held
 
 
 class _ProbeMsg:

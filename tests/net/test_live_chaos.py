@@ -52,6 +52,55 @@ class TestFaultInjection:
         assert faults["injected"] == {
             "3": {"kind": "delay_send", "delay": 0.02, "msg_classes": None}}
 
+    def test_honest_nodes_host_bare_cores(self):
+        from repro.faults import HONEST, FaultyCore
+
+        async def scenario():
+            cluster = LiveCluster(4, faults={3: DelaySend(delay=0.02)},
+                                  **SMOKE)
+            await cluster.start()
+            try:
+                cores = cluster.replicas + cluster.clients
+                for node_id, node in cluster.nodes.items():
+                    if node_id == 3:
+                        assert isinstance(node.core, FaultyCore)
+                        assert node.core.inner is cores[3]
+                        assert node.admits == node.core.admits
+                    else:
+                        assert node.core is cores[node_id]
+                        assert node.admits is None
+                # unfault keeps a wrapper only while releases are held
+                cluster.set_fault(3, HONEST)
+                node = cluster.nodes[3]
+                assert node.core is cores[3] or node.core.held
+            finally:
+                await cluster.stop()
+
+        run(scenario())
+
+    def test_traced_stack_puts_the_fault_innermost(self):
+        from repro.faults import FaultyCore
+        from repro.obs.tracer import RingTracer, TracedCore
+
+        async def scenario():
+            cluster = LiveCluster(4, faults={3: DelaySend(delay=0.02)},
+                                  tracer=RingTracer(), **SMOKE)
+            await cluster.start()
+            try:
+                cores = cluster.replicas + cluster.clients
+                for node_id, node in cluster.nodes.items():
+                    assert isinstance(node.core, TracedCore)
+                    inner = node.core.inner
+                    if node_id == 3:
+                        assert isinstance(inner, FaultyCore)
+                        assert inner.inner is cores[3]
+                    else:
+                        assert inner is cores[node_id]
+            finally:
+                await cluster.stop()
+
+        run(scenario())
+
     def test_custom_fault_subclass_reported_not_crashing(self):
         class Weird(FaultBehavior):
             def filter_effects(self, effects, now):

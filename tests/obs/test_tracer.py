@@ -6,7 +6,6 @@ import pytest
 
 from repro.interfaces import (
     Broadcast,
-    Delayed,
     Executed,
     Send,
     SetTimer,
@@ -151,7 +150,6 @@ class TestTracedCore:
             Send(4, Ack(4, 7, 100, 0.0, 0.1)),
             Executed(100, info=(5,)),
             Trace("note", {"detail": 1}),
-            Delayed(0.1, Send(4, Ack(4, 8, 100, 0.0, 0.1))),
         ]
         tracer = RingTracer()
         core = TracedCore(_ScriptedCore(1, effects), tracer)
@@ -161,7 +159,7 @@ class TestTracedCore:
         kinds = [(e["kind"], e["cls"]) for e in tracer.events()]
         assert kinds == [("recv", "client"), ("bcast", "datablock"),
                          ("send", "ack"), ("exec", "exec"),
-                         ("note", "note"), ("send", "ack")]
+                         ("note", "note")]
         execs = [e for e in tracer.events() if e["kind"] == "exec"]
         assert execs[0]["data"] == {"count": 100, "ids": [5]}
         assert all(e["t"] == 2.0 and e["node"] == 1

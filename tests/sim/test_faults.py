@@ -6,18 +6,22 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.interfaces import Broadcast, Delayed, Send, SetTimer
+from repro.interfaces import Broadcast, Send, SetTimer
 from repro.faults import (
     Combined,
     Crash,
+    Delayed,
     DelaySend,
     DropIncoming,
     FaultBehavior,
+    FaultyCore,
     HONEST,
     Mute,
+    RELEASE,
     SelectiveDisseminator,
     fault_from_spec,
     fault_to_spec,
+    hosted_core,
     partition_behavior,
 )
 
@@ -35,7 +39,7 @@ class TestHonest:
         effects = [Send(1, Msg("vote"))]
         assert HONEST.filter_effects(effects, 0.0) == effects
         assert not HONEST.drop_incoming(0, Msg("vote"), 0.0)
-        assert not HONEST.crashed
+        assert not HONEST.crashed(0.0)
 
 
 class TestCrash:
@@ -44,12 +48,15 @@ class TestCrash:
         effects = [Send(1, Msg("vote"))]
         assert crash.filter_effects(effects, 1.0) == effects
         assert not crash.drop_incoming(0, Msg("vote"), 1.0)
+        assert not crash.crashed(1.0)
 
     def test_after_crash_time(self):
         crash = Crash(at=5.0)
         assert crash.filter_effects([Send(1, Msg("vote"))], 6.0) == []
         assert crash.drop_incoming(0, Msg("vote"), 6.0)
-        assert crash.crashed
+        assert crash.crashed(6.0)
+        assert crash.crashed(5.0)  # decided by the time given, no memory
+        assert not crash.crashed(4.0)
 
 
 class TestSelectiveDisseminator:
@@ -100,12 +107,12 @@ class TestCombined:
         assert len(filtered) == 1
         assert fault.drop_incoming(0, Msg("datablock"), 0.0)
         assert not fault.drop_incoming(0, Msg("vote"), 0.0)
-        assert not fault.crashed
+        assert not fault.crashed(0.0)
 
     def test_combined_crash(self):
-        fault = Combined((Crash(at=0.0), Mute(frozenset())))
-        fault.drop_incoming(0, Msg("x"), 1.0)
-        assert fault.crashed
+        fault = Combined((Crash(at=1.0), Mute(frozenset())))
+        assert not fault.crashed(0.5)
+        assert fault.crashed(1.0)
 
 
 class TestDelaySend:
@@ -132,6 +139,100 @@ class TestDelaySend:
 
     def test_does_not_delay_incoming(self):
         assert not DelaySend(delay=0.05).drop_incoming(0, Msg("vote"), 0.0)
+
+
+class _ScriptedCore:
+    """Every hook returns ``effects``; calls are logged."""
+
+    def __init__(self, effects):
+        self.node_id = 1
+        self.effects = effects
+        self.calls = []
+
+    def start(self, now):
+        self.calls.append(("start", now))
+        return list(self.effects)
+
+    def on_message(self, sender, msg, now):
+        self.calls.append(("message", now))
+        return list(self.effects)
+
+    def on_timer(self, key, now):
+        self.calls.append(("timer", key))
+        return list(self.effects)
+
+
+class TestFaultyCore:
+    def test_gate_drops_by_behaviour_and_crash(self):
+        core = FaultyCore(_ScriptedCore([]), Combined((
+            DropIncoming(frozenset({"datablock"})), Crash(at=2.0))))
+        assert not core.admits(0, Msg("datablock"), 0.0)
+        assert core.admits(0, Msg("vote"), 0.0)
+        assert not core.admits(0, Msg("vote"), 2.0)
+
+    def test_filters_what_the_core_emits(self):
+        core = FaultyCore(
+            _ScriptedCore([Send(2, Msg("vote")), Send(2, Msg("ready"))]),
+            Mute(frozenset({"vote"})))
+        assert core.on_message(0, Msg("vote"), 0.0) == [
+            Send(2, Msg("ready"))]
+
+    def test_crashed_core_is_never_called(self):
+        inner = _ScriptedCore([Send(2, Msg("vote"))])
+        core = FaultyCore(inner, Crash(at=1.0))
+        assert core.on_message(0, Msg("vote"), 0.5) == [Send(2, Msg("vote"))]
+        assert core.on_message(0, Msg("vote"), 1.0) == []
+        assert core.on_timer("t", 1.5) == []
+        assert core.start(2.0) == []
+        assert inner.calls == [("message", 0.5)]
+
+    def test_delayed_becomes_a_wrapper_timer_released_unfiltered(self):
+        send = Send(2, Msg("vote"))
+        inner = _ScriptedCore([send])
+        core = FaultyCore(inner, DelaySend(delay=0.05))
+        [timer] = core.start(0.0)
+        assert isinstance(timer, SetTimer)
+        assert timer.delay == 0.05 and timer.key[0] == RELEASE
+        # Released as is: the DelaySend does not delay it a second time.
+        assert core.on_timer(timer.key, 0.05) == [send]
+        assert core.held == {}
+        assert inner.calls == [("start", 0.0)]  # the key is the wrapper's
+
+    def test_no_release_after_a_crash(self):
+        core = FaultyCore(_ScriptedCore([Send(2, Msg("vote"))]),
+                          DelaySend(delay=0.05))
+        [timer] = core.start(0.0)
+        core.behaviour = Crash(at=0.01)
+        assert core.on_timer(timer.key, 0.05) == []
+        assert core.held == {}
+
+    def test_pending_release_survives_unfault(self):
+        send = Send(2, Msg("vote"))
+        inner = _ScriptedCore([send])
+        stack = hosted_core(inner, DelaySend(delay=0.05))
+        [timer] = stack.start(0.0)
+        # Something is held, so the wrapper stays, now honest.
+        assert hosted_core(stack, HONEST) is stack
+        assert stack.behaviour is HONEST
+        assert stack.on_timer(timer.key, 0.05) == [send]
+        # Nothing held any more: the next re-stack hosts the bare core.
+        assert hosted_core(stack, HONEST) is inner
+
+    def test_restart_discards_pending_release(self):
+        inner = _ScriptedCore([Send(2, Msg("vote"))])
+        stack = hosted_core(inner, DelaySend(delay=0.05))
+        stack.start(0.0)
+        fresh = _ScriptedCore([])
+        restarted = hosted_core(fresh, DelaySend(delay=0.05))
+        assert restarted is not stack and restarted.held == {}
+        assert hosted_core(fresh) is fresh
+
+    def test_attributes_pass_through(self):
+        inner = _ScriptedCore([])
+        core = FaultyCore(inner, HONEST)
+        assert core.node_id == 1 and core.effects == []
+        core.backlog_probe = 7  # write falls through
+        assert inner.backlog_probe == 7
 
 
 class TestFaultSpecs:

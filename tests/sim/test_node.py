@@ -14,7 +14,7 @@ from repro.interfaces import (
     SetTimer,
     Trace,
 )
-from repro.faults import Crash, DropIncoming
+from repro.faults import Crash, DelaySend, DropIncoming, hosted_core
 from repro.stats import MetricsCollector
 from repro.sim.network import Network
 from repro.sim.runner import Simulation
@@ -201,26 +201,25 @@ class TestCpuLanes:
 
 class TestFaultsAndMetrics:
     def test_crash_stops_recurring_timer(self):
-        # A Crash-faulted node's heartbeat stops at its crash time.  (One
-        # fire may slip through right after the crash — Crash tracks time
-        # through the fault hooks, so the first post-crash tick still
-        # reaches the core with its effects suppressed.)
+        # A Crash-faulted node's heartbeat stops at its crash time: the
+        # fault wrapper decides from the time of each firing, so the
+        # first tick after the crash (0.4) never reaches the core.
         sim = make_sim()
         core = RecorderCore(
             0,
             start_effects=[SetTimer("hb", 0.1)],
             script={"on_timer": [SetTimer("hb", 0.1)]})
-        sim.add_node(core, fault=Crash(at=0.35))
+        sim.add_node(hosted_core(core, Crash(at=0.35)))
         sim.run(2.0)
         fired = [now for _, now in core.timers]
-        assert fired == pytest.approx([0.1, 0.2, 0.3, 0.4])
+        assert fired == pytest.approx([0.1, 0.2, 0.3])
 
     def test_crashed_node_is_silent(self):
         sim = make_sim()
         a = RecorderCore(0, start_effects=[Send(1, Ping())])
         b = RecorderCore(1, script={"on_message": [Send(0, Ping())]})
         sim.add_node(a)
-        sim.add_node(b, fault=Crash(at=0.0))
+        sim.add_node(hosted_core(b, Crash(at=0.0)))
         sim.run(1.0)
         assert b.received == []
         assert a.received == []
@@ -230,9 +229,22 @@ class TestFaultsAndMetrics:
         a = RecorderCore(0, start_effects=[Send(1, Bulk()), Send(1, Ping())])
         b = RecorderCore(1)
         sim.add_node(a)
-        sim.add_node(b, fault=DropIncoming(frozenset({"datablock"})))
+        sim.add_node(hosted_core(b, DropIncoming(frozenset({"datablock"}))))
         sim.run(1.0)
         assert [type(m).__name__ for _, m, _ in b.received] == ["Ping"]
+
+    def test_delay_send_releases_through_a_timer(self):
+        # The wrapper holds the send and arms a timer of its own; the
+        # host just runs that timer, and the send leaves 0.2 s late.
+        sim = make_sim()
+        a = RecorderCore(0, start_effects=[Send(1, Ping())])
+        b = RecorderCore(1)
+        sim.add_node(hosted_core(a, DelaySend(delay=0.2)))
+        sim.add_node(b)
+        sim.run(1.0)
+        assert [now for _, _, now in b.received] == pytest.approx(
+            [0.2 + 0.001], abs=1e-5)  # lag + propagation
+        assert a.timers == []  # the release key never reaches the core
 
     def test_executed_effect_recorded(self):
         sim = make_sim()
