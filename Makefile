@@ -1,6 +1,7 @@
 # Developer entry points.  `make check` is the one-stop gate: lint (when
-# ruff is installed), tier-1 tests, the smoke-mode micro-benchmark
-# regression check (refuses a >20% throughput regression against
+# ruff is installed), tier-1 tests, the transport tests again under
+# asyncio debug mode, the smoke-mode micro-benchmark regression check
+# (refuses a >20% throughput regression against
 # benchmarks/BENCH_micro_coding.json; falls back to the
 # machine-independent speedup column on a different host), the simulator
 # macro-benchmark gate (events/sec against
@@ -34,9 +35,10 @@ SMOKE_ARGS := --duration 3 --rate 2000 --bundle-size 100 --clients 1 \
 RECOVERY_ARGS := --duration 4 --rate 2000 --bundle-size 100 --clients 1 \
 	--min-committed 1
 
-.PHONY: lint test bench-micro bench-micro-full bench-sim bench-sim-full \
-	ledger-smoke live-smoke live-smoke-all calibrate-smoke chaos-smoke \
-	calibrate-faulted trace-smoke expt-smoke recovery-smoke golden check
+.PHONY: lint test transport-debug bench-micro bench-micro-full bench-sim \
+	bench-sim-full ledger-smoke live-smoke live-smoke-all calibrate-smoke \
+	chaos-smoke calibrate-faulted trace-smoke expt-smoke recovery-smoke \
+	golden check
 
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \
@@ -47,6 +49,15 @@ lint:
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+# The transport tests under asyncio debug mode: sends write to an idle
+# peer's socket inline, from inside read callbacks, so a write to a
+# closing transport or a leaked socket must fail loudly.
+transport-debug:
+	PYTHONASYNCIODEBUG=1 $(PYTHON) -X dev -m pytest -q \
+		-W error::ResourceWarning \
+		-W error::pytest.PytestUnraisableExceptionWarning \
+		tests/net/test_transport.py
 
 # Re-record the simulator reports tests/golden/ pins (name each rewritten
 # file and the reason in the change description).
@@ -213,6 +224,6 @@ calibrate-sweep:
 		--duration 1.0 --warmup 0.25 --min-committed 1 \
 		--output artifacts/calibration_sweep_leopard.json
 
-check: lint test bench-micro bench-sim ledger-smoke live-smoke-all \
-	calibrate-smoke chaos-smoke calibrate-faulted trace-smoke expt-smoke \
-	recovery-smoke
+check: lint test transport-debug bench-micro bench-sim ledger-smoke \
+	live-smoke-all calibrate-smoke chaos-smoke calibrate-faulted \
+	trace-smoke expt-smoke recovery-smoke

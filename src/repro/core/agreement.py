@@ -23,8 +23,6 @@ from repro.crypto.threshold import (
 from repro.messages.leopard import (
     BFTblock,
     Proof,
-    ROUND_COMMIT,
-    ROUND_PREPARE,
     Vote,
 )
 
@@ -281,11 +279,3 @@ class VoteAggregator:
     def pending_votes(self, round_: int, block_digest: bytes) -> int:
         """How many valid shares collected so far (diagnostics)."""
         return len(self._shares.get((round_, block_digest), {}))
-
-
-def make_proof(round_: int, block: BFTblock, payload: bytes,
-               signature: ThresholdSignature,
-               prior: ThresholdSignature | None = None) -> Proof:
-    """Convenience constructor for the leader's proof multicast."""
-    assert round_ in (ROUND_PREPARE, ROUND_COMMIT)
-    return Proof(round_, block.digest(), payload, signature, prior)

@@ -11,13 +11,5 @@ class ConfigError(ReproError):
     """Invalid protocol or simulation configuration."""
 
 
-class ProtocolViolation(ReproError):
-    """A message failed protocol-level validation.
-
-    Honest replicas *drop* invalid messages rather than crash; this exception
-    is raised only by strict validation helpers that tests call directly.
-    """
-
-
 class SimulationError(ReproError):
     """The simulator was driven into an inconsistent state."""

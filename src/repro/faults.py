@@ -188,14 +188,27 @@ class DelaySend(FaultBehavior):
 
 @dataclass
 class Combined(FaultBehavior):
-    """Applies several behaviours in order (effects chain, drops OR)."""
+    """Applies several behaviours in order (effects chain, drops OR).
+
+    A behaviour after a :class:`DelaySend` filters what the delay wraps,
+    and what survives keeps its delay (delays add), so the members
+    compose the same in any order.
+    """
 
     behaviors: tuple[FaultBehavior, ...]
 
     def filter_effects(self, effects: list[Effect], now: float
                        ) -> list[Effect]:
         for behavior in self.behaviors:
-            effects = behavior.filter_effects(effects, now)
+            rewritten: list[Effect] = []
+            for effect in effects:
+                if isinstance(effect, Delayed):
+                    rewritten += [_later(effect.delay, survivor)
+                                  for survivor in behavior.filter_effects(
+                                      [effect.effect], now)]
+                else:
+                    rewritten += behavior.filter_effects([effect], now)
+            effects = rewritten
         return effects
 
     def drop_incoming(self, sender: int, msg: Message, now: float) -> bool:
@@ -203,6 +216,13 @@ class Combined(FaultBehavior):
 
     def crashed(self, now: float) -> bool:
         return any(b.crashed(now) for b in self.behaviors)
+
+
+def _later(delay: float, effect: Effect) -> Delayed:
+    """``effect`` held ``delay`` seconds longer."""
+    if isinstance(effect, Delayed):
+        return Delayed(delay + effect.delay, effect.effect)
+    return Delayed(delay, effect)
 
 
 # ---------------------------------------------------------------------------

@@ -397,7 +397,6 @@ def run_replica_from_spec(spec: dict) -> dict:
 
     faults_at_start = minor_faults()
     stopped_at = asyncio.run(serve())
-    listener = router.listener
     return {
         "node_id": node_id,
         "protocol": protocol,
@@ -408,12 +407,7 @@ def run_replica_from_spec(spec: dict) -> dict:
         "recv_bytes": router.stats.recv_bytes,
         "recv_msgs": router.stats.recv_msgs,
         "events_processed": router.stats.total_recv_msgs(),
-        "dropped_frames": router.dropped_frames(),
-        "unroutable_frames": router.unroutable_frames,
-        "decode_errors": listener.decode_errors if listener else 0,
-        "handler_errors": listener.handler_errors if listener else 0,
-        "reconnects": router.reconnects(),
-        "backoff_retries": router.backoff_retries(),
+        **transport_summary([router]),
         "timeseries": metrics.timeseries.to_jsonable()
         if metrics.timeseries is not None else None,
         "perf": metrics.perf.snapshot(),
@@ -782,9 +776,7 @@ def _stub_summary(replica_id: int, protocol: str) -> dict:
         "sent_bytes": {}, "sent_msgs": {},
         "recv_bytes": {}, "recv_msgs": {},
         "events_processed": 0,
-        "dropped_frames": 0, "unroutable_frames": 0,
-        "decode_errors": 0, "handler_errors": 0,
-        "reconnects": 0, "backoff_retries": 0,
+        **transport_summary([]),
         "timeseries": None, "perf": None, "trace": None,
         "recovery": None, "snapshots_persisted": 0,
         "restored_from_disk": False, "peak_rss_mb": None,
@@ -833,12 +825,8 @@ def _merge_report(*, protocol: str, n: int, metrics: MetricsCollector,
                                  msg_class, 0))
         byte_stats[replica_id] = stats
         events += summary["events_processed"]
-        transport["dropped_frames"] += summary["dropped_frames"]
-        transport["unroutable_frames"] += summary["unroutable_frames"]
-        transport["decode_errors"] += summary["decode_errors"]
-        transport["handler_errors"] += summary["handler_errors"]
-        transport["reconnects"] += summary.get("reconnects", 0)
-        transport["backoff_retries"] += summary.get("backoff_retries", 0)
+        for counter in transport:
+            transport[counter] += summary.get(counter, 0)
     # The measurement window is the parent's client-serving span: replica
     # children boot before it and are stopped after it, so commits only
     # happen inside it.

@@ -54,6 +54,9 @@ def transport_summary(routers: list[Router]) -> dict:
                               if r.listener is not None),
         "reconnects": sum(r.reconnects() for r in routers),
         "backoff_retries": sum(r.backoff_retries() for r in routers),
+        "frames_sent": sum(r.frames_sent() for r in routers),
+        "socket_writes": sum(r.socket_writes() for r in routers),
+        "direct_frames": sum(r.direct_frames() for r in routers),
     }
 
 

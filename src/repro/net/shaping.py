@@ -10,11 +10,13 @@ for — without requiring root or kernel qdiscs:
   token-bucket rate limit, added base latency plus uniform jitter, and
   probabilistic frame loss;
 * a :class:`LinkShaper` holds the mutable policy table keyed
-  ``(src, dst)`` plus the current partition, and is consulted by every
-  :class:`repro.net.transport.PeerConnection` drain loop **per frame**
-  (unimpaired frames then share one socket write; a delayed frame is
-  written alone once its delay has passed) — policies are hot-swappable
-  at runtime, which is what lets chaos scenarios degrade and heal links
+  ``(src, dst)`` plus the current partition.  Every frame of an
+  impaired link goes through its
+  :class:`repro.net.transport.PeerConnection` drain loop, which consults
+  the shaper **per frame** (frames it passes share one socket write; a
+  delayed frame is written alone once its delay has passed); an
+  unimpaired link's frames skip it.  Policies are hot-swappable at
+  runtime, which is what lets chaos scenarios degrade and heal links
   mid-run.
 
 Semantics versus the simulator's NIC model (documented in README):
@@ -136,11 +138,6 @@ class LinkShaper:
         self._policies.pop((src, dst), None)
         self._buckets.pop((src, dst), None)
 
-    def clear_all_policies(self) -> None:
-        """Drop every link policy (partitions are separate: :meth:`heal`)."""
-        self._policies.clear()
-        self._buckets.clear()
-
     def policy(self, src: int, dst: int) -> LinkPolicy | None:
         """The policy currently shaping the directed link, if any."""
         return self._policies.get((src, dst))
@@ -178,6 +175,11 @@ class LinkShaper:
             return False
         dst_group = next((g for g in groups if dst in g), None)
         return dst_group is not None and dst_group is not src_group
+
+    def impairs(self, src: int, dst: int) -> bool:
+        """Whether a policy or the partition applies to the ``src -> dst``
+        link; an unimpaired link's frames need no drain loop."""
+        return (src, dst) in self._policies or self.blocked(src, dst)
 
     # -- the per-frame hot path ---------------------------------------
 

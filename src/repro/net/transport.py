@@ -8,8 +8,17 @@ outbound direction with a bounded write queue and automatic reconnect —
 the connection fan-in/fan-out shape of a real BFT deployment, where every
 replica dials every peer it sends to and a leader terminates n-1 inbound
 vote streams.  Both directions are asyncio protocols, not streams: each
-socket read is one dispatch pass over every complete frame it holds, and
-each drain of a peer's queue hands its unshaped frames over in one write.
+socket read is one dispatch pass over every complete frame it holds.
+
+Send path: a frame for an idle peer is written to its socket inline, in
+the sender's own call — the link is connected and not paused, nothing
+is queued, the writer task is parked waiting for work and no shaping
+applies to the link.  Only work that must wait goes through the peer's
+queue and its writer task: frames sent before the link connects or
+while it reconnects, the backlog behind a paused transport (drained in
+runs of up to ``WRITE_BATCH_BYTES``, one write each), and every frame
+of a shaped or partitioned link.  A parked writer holds no frame, so
+each link stays FIFO.
 
 Receive buffer: every inbound connection on an event loop reads into one
 reused buffer of ``RECV_BUFFER_BYTES`` and decodes frames in place from
@@ -24,12 +33,12 @@ leader's n-1 inbound streams from each holding one.  Only a frame that
 straddles reads is copied, once, into a buffer of its own that the
 kernel then fills directly.
 
-Backpressure: an outbound frame waits in its link's byte-bounded queue
-until the drain loop writes it, then in the asyncio transport's write
-buffer until the kernel accepts it, then in the kernel socket buffer
-until the peer reads it.  The drain loop stops taking frames while the
-transport buffer is above its high-water mark, so the kernel's pushback
-reaches the queue.  ``queued_bytes`` counts the first two — every byte
+Backpressure: an outbound frame that is not written inline waits in its
+link's byte-bounded queue until the drain loop writes it; every frame
+then waits in the asyncio transport's write buffer until the kernel
+accepts it, then in the kernel socket buffer until the peer reads it.
+Neither path writes while the transport buffer is above its high-water
+mark, so the kernel's pushback reaches the queue.  ``queued_bytes`` counts the first two — every byte
 the kernel has not accepted — and the queue bound applies to that sum:
 when a peer is slow or dead further frames are dropped (and counted)
 instead of growing without bound.  BFT protocols tolerate message loss
@@ -68,10 +77,10 @@ MAX_BACKOFF = 1.0
 #: Assumed localhost link rate for backlog-seconds estimation (bits/s).
 DEFAULT_LINK_BPS = 1e9
 
-#: Most bytes of frames joined into one write.  One write per drain saves
-#: more (a syscall each) than the join copies; the cap bounds that copy
-#: when a backlog drains, and a frame that would overflow it starts the
-#: next write.
+#: Most bytes of queued frames joined into one write.  One write per
+#: drain saves more (a syscall each) than the join copies; the cap bounds
+#: that copy when a backlog drains, and a frame that would overflow it
+#: starts the next write.
 WRITE_BATCH_BYTES = 1024 * 1024
 
 #: Size of the receive buffer every inbound connection on one event loop
@@ -237,8 +246,8 @@ class _OutboundLink(asyncio.Protocol):
     Resuming and losing the connection both wake the owning drain loop.
     """
 
-    def __init__(self, wakeup: asyncio.Event) -> None:
-        self.wakeup = wakeup
+    def __init__(self, wake: Callable[[], None]) -> None:
+        self.wake = wake
         self.transport: asyncio.Transport | None = None
         self.paused = False
         self.lost = False
@@ -248,34 +257,43 @@ class _OutboundLink(asyncio.Protocol):
 
     def connection_lost(self, exc) -> None:
         self.lost = True
-        self.wakeup.set()
+        self.wake()
 
     def pause_writing(self) -> None:
         self.paused = True
 
     def resume_writing(self) -> None:
         self.paused = False
-        self.wakeup.set()
+        self.wake()
 
 
 class PeerConnection:
-    """Outbound link to one peer: reconnect loop + bounded write queue.
+    """Outbound link to one peer: inline writes, a writer task for the rest.
 
-    Frames enqueue without blocking (the protocol core runs inline on the
-    event loop and must never stall on one slow peer); a dedicated writer
-    task drains the queue into the socket, waiting whenever the transport
-    pushes back.  While the peer is unreachable the task retries with
-    exponential backoff (jittered, so a cluster of reconnecting peers
-    does not dial a restarted listener in lock-step) and the queue keeps
-    absorbing frames up to ``max_queue_bytes``, beyond which new frames
-    are dropped and counted.
+    Frames never block the caller (the protocol core runs inline on the
+    event loop and must never stall on one slow peer).  While the link
+    is idle — connected, not paused, nothing queued, the writer task
+    parked and no shaping on the link — :meth:`send` writes the frame to
+    the socket itself.  Otherwise the frame joins the queue, and a
+    dedicated writer task drains it into the socket, waiting whenever
+    the transport pushes back.  While the peer is unreachable the task
+    retries with exponential backoff (jittered, so a cluster of
+    reconnecting peers does not dial a restarted listener in lock-step)
+    and the queue keeps absorbing frames up to ``max_queue_bytes``,
+    beyond which new frames are dropped and counted.
+
+    The writer parks on a bare future, created only when it sleeps for
+    want of work or behind a paused transport; :meth:`_wake` resolves
+    it.  So "parked" is the same test as "idle": a parked writer holds
+    no frame, and on an unpaused link its queue is empty.
 
     Each drain writes the run of queued frames at the head of the queue
     in one write.  When a :class:`~repro.net.shaping.LinkShaper` is
-    attached it is consulted per frame: partitioned links hold their
-    queue intact (frames flow again on heal), lost frames are discarded
-    after dequeue, and a frame it delays ends the run and is written
-    alone once its token-bucket and latency delay has passed.
+    attached and impairs the link, every frame is queued and the shaper
+    is consulted per frame: partitioned links hold their queue intact
+    (frames flow again on heal), lost frames are discarded after
+    dequeue, and a frame it delays ends the run and is written alone
+    once its token-bucket and latency delay has passed.
     """
 
     def __init__(self, peer_id: int, host: str, port: int,
@@ -287,15 +305,18 @@ class PeerConnection:
         self.port = port
         self.max_queue_bytes = max_queue_bytes
         self.src_id = src_id
-        self.shaper = shaper
+        # The shaper keys its table by (src, dst): no source, no shaping.
+        self.shaper = shaper if src_id is not None else None
         self.dropped_frames = 0
         self.sent_frames = 0
+        self.direct_frames = 0
+        self.socket_writes = 0
         self.connects = 0
         self.backoff_retries = 0
         self._queue: deque[tuple[bytes, float]] = deque()
         self._queued_bytes = 0
         self._link: _OutboundLink | None = None
-        self._wakeup = asyncio.Event()
+        self._waiter: asyncio.Future | None = None
         self._closed = False
         self._task: asyncio.Task | None = None
 
@@ -316,19 +337,35 @@ class PeerConnection:
                 + self._link.transport.get_write_buffer_size())
 
     def send(self, frame: bytes) -> bool:
-        """Enqueue one frame; False if closed or the queue is full."""
+        """Write or enqueue one frame; False if closed or the queue is full."""
         if self._closed:
             return False
         if self.queued_bytes + len(frame) > self.max_queue_bytes:
             self.dropped_frames += 1
             return False
-        if not self._queue:
-            # Only an empty queue leaves the drain loop waiting on us;
-            # behind a paused transport it waits for resume_writing.
-            self._wakeup.set()
+        # A parked writer implies a live link; behind a paused transport
+        # it waits for resume_writing, so only an unpaused one is idle.
+        if self._waiter is not None and not self._link.paused:
+            shaper = self.shaper
+            if shaper is None or not shaper.impairs(self.src_id,
+                                                    self.peer_id):
+                self._link.transport.write(frame)
+                self.sent_frames += 1
+                self.direct_frames += 1
+                self.socket_writes += 1
+                return True
+            self._wake()
         self._queue.append((frame, time.monotonic()))
         self._queued_bytes += len(frame)
         return True
+
+    def _wake(self) -> None:
+        """Resume the writer task if it is parked."""
+        waiter = self._waiter
+        if waiter is not None:
+            self._waiter = None
+            if not waiter.done():  # cancelled with the task at loop exit
+                waiter.set_result(None)
 
     async def _run(self) -> None:
         loop = asyncio.get_running_loop()
@@ -336,7 +373,7 @@ class PeerConnection:
         while not self._closed:
             try:
                 _, link = await loop.create_connection(
-                    lambda: _OutboundLink(self._wakeup), self.host, self.port)
+                    lambda: _OutboundLink(self._wake), self.host, self.port)
             except OSError:
                 self.backoff_retries += 1
                 # Jitter de-synchronizes the reconnect herd after a
@@ -348,21 +385,23 @@ class PeerConnection:
             backoff = INITIAL_BACKOFF
             self._link = link
             try:
-                await self._drain_loop(link)
+                await self._drain_loop(loop, link)
             finally:
                 # A lost link's unsent bytes are lost in flight; the
                 # queue is kept for the next link.
+                self._waiter = None
                 self._link = None
                 link.transport.close()
 
-    async def _drain_loop(self, link: _OutboundLink) -> None:
+    async def _drain_loop(self, loop: asyncio.AbstractEventLoop,
+                          link: _OutboundLink) -> None:
         queue = self._queue
         transport = link.transport
-        shaper = self.shaper if self.src_id is not None else None
+        shaper = self.shaper
         while not (self._closed or link.lost):
             if link.paused or not queue:
-                self._wakeup.clear()
-                await self._wakeup.wait()
+                self._waiter = loop.create_future()
+                await self._waiter
                 continue
             if shaper is not None and shaper.blocked(self.src_id,
                                                      self.peer_id):
@@ -392,17 +431,19 @@ class PeerConnection:
             if batch:
                 transport.writelines(batch)
                 self.sent_frames += len(batch)
+                self.socket_writes += 1
             if delay:
                 await asyncio.sleep(delay)
                 if self._closed:
                     return
                 transport.write(frame)
                 self.sent_frames += 1
+                self.socket_writes += 1
 
     async def close(self) -> None:
         """Stop the writer task and drop any queued frames."""
         self._closed = True
-        self._wakeup.set()
+        self._wake()
         if self._task is not None:
             self._task.cancel()
             try:
@@ -537,12 +578,27 @@ class Router:
         """Failed dial attempts across all outbound links."""
         return sum(peer.backoff_retries for peer in self._peers.values())
 
+    def frames_sent(self) -> int:
+        """Frames handed to a socket, across all outbound links."""
+        return sum(peer.sent_frames for peer in self._peers.values())
+
+    def socket_writes(self) -> int:
+        """Socket writes across all outbound links (frames per write is
+        ``frames_sent() / socket_writes()``)."""
+        return sum(peer.socket_writes for peer in self._peers.values())
+
+    def direct_frames(self) -> int:
+        """Frames written inline by :meth:`PeerConnection.send`."""
+        return sum(peer.direct_frames for peer in self._peers.values())
+
     async def close(self) -> None:
-        """Close the listener and every outbound link."""
+        """Close the listener and every outbound link.
+
+        The closed links stay listed, so their counters still read in
+        the report a run builds after teardown.
+        """
         self._closed = True
         if self.listener is not None:
             await self.listener.close()
-        peers = list(self._peers.values())
-        self._peers.clear()
-        for peer in peers:
+        for peer in list(self._peers.values()):
             await peer.close()

@@ -144,6 +144,10 @@ class TestLiveReport:
         assert 0 < report["latency_s"]["p50"] < 5.0
         assert report["transport"]["decode_errors"] == 0
         assert report["transport"]["unroutable_frames"] == 0
+        # The write counters outlive the routers' teardown.
+        transport = report["transport"]
+        assert 0 < transport["socket_writes"] <= transport["frames_sent"]
+        assert 0 < transport["direct_frames"] <= transport["frames_sent"]
         # Vote traffic flows replica->leader; datablocks are broadcast by
         # the client's assigned replica and received by everyone else.
         measure = report["measure_replica"]

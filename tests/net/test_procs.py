@@ -179,6 +179,10 @@ class TestRunLiveProcesses:
         assert measure_bytes["sent"].get("vote", 0) > 0
         assert measure_bytes["recv"].get("datablock", 0) > 0
         assert report["transport"]["decode_errors"] == 0
+        # ... and so did its socket-write counters.
+        transport = report["transport"]
+        assert 0 < transport["socket_writes"] <= transport["frames_sent"]
+        assert 0 < transport["direct_frames"] <= transport["frames_sent"]
 
     def test_crash_recover_restores_from_durable_snapshot(self):
         """Tentpole: a SIGKILLed replica child respawns, reloads its

@@ -778,20 +778,27 @@ class TestReceiveAllocations:
         assert rise < 64 * 1024
 
 
+def count_writes(monkeypatch) -> list[int]:
+    """The byte count of every ``write`` on each outbound socket
+    connected from now on (``writelines`` joins into one ``write``)."""
+    writes: list[int] = []
+    made = transport_mod._OutboundLink.connection_made
+
+    def counting(self, transport):
+        write = transport.write
+        transport.write = lambda data: (writes.append(len(data)),
+                                        write(data))
+        made(self, transport)
+
+    monkeypatch.setattr(transport_mod._OutboundLink, "connection_made",
+                        counting)
+    return writes
+
+
 class TestCoalescedSends:
     def test_frames_queued_in_one_tick_arrive_in_order(self, monkeypatch):
         """One drain writes the whole run; sent_frames still counts frames."""
-        writes = []
-        made = transport_mod._OutboundLink.connection_made
-
-        def counting(self, transport):
-            write = transport.write
-            transport.write = lambda data: (writes.append(len(data)),
-                                            write(data))
-            made(self, transport)
-
-        monkeypatch.setattr(transport_mod._OutboundLink, "connection_made",
-                            counting)
+        writes = count_writes(monkeypatch)
         digests = [bytes([i]) * 32 for i in range(50)]
 
         async def scenario():
@@ -852,6 +859,128 @@ class TestCoalescedSends:
         assert all(at - sent_at[i] >= 0.3 for i, at in arrivals[1])
         assert all(at - sent_at[i] < 0.3 for i, at in arrivals[2])
         assert shaper.frames_shaped == 3  # consulted per frame, link 1 only
+
+
+def ready_frame(i: int) -> bytes:
+    """The frame of a ``Ready`` whose digest is byte ``i`` repeated."""
+    return codec.encode(0, Ready(bytes([i]) * 32))
+
+
+async def connected(received: list, shaper: LinkShaper | None = None):
+    """A listener appending each frame's index to ``received``, and a
+    peer link from node 0 to it, returned once its writer is parked."""
+    listener = Listener(
+        lambda sender, msg: received.append(msg.block_digest[0]),
+        NicStats())
+    await listener.start()
+    peer = PeerConnection(1, "127.0.0.1", listener.port, src_id=0,
+                          shaper=shaper)
+    peer.start()
+    await until(lambda: peer._waiter is not None)
+    return listener, peer
+
+
+async def closed(listener: Listener, peer: PeerConnection) -> tuple:
+    """Close both ends; return the peer's (sent, direct, writes) counts."""
+    await peer.close()
+    await listener.close()
+    return peer.sent_frames, peer.direct_frames, peer.socket_writes
+
+
+class TestDirectWrites:
+    """An idle link's frames are written inline by ``send``; the writer
+    task only drains what has to wait."""
+
+    def test_idle_link_writes_each_frame_inline(self, monkeypatch):
+        writes = count_writes(monkeypatch)
+
+        async def scenario():
+            received = []
+            listener, peer = await connected(received)
+            waiter = peer._waiter
+            for i in range(20):
+                assert peer.send(ready_frame(i))
+                await asyncio.sleep(0)  # one frame per loop pass
+            await until(lambda: len(received) == 20)
+            resumed = peer._waiter is not waiter or waiter.done()
+            return received, resumed, await closed(listener, peer)
+
+        received, resumed, counts = run(scenario())
+        assert received == list(range(20))
+        assert not resumed
+        assert counts == (20, 20, 20)
+        assert writes == [len(ready_frame(0))] * 20
+
+    def test_frames_sent_while_paused_follow_inline_ones_in_order(self):
+        async def scenario():
+            received = []
+            listener, peer = await connected(received)
+            peer.send(ready_frame(0))
+            peer.send(ready_frame(1))
+            peer._link.pause_writing()
+            peer.send(ready_frame(2))
+            peer.send(ready_frame(3))
+            queued = len(peer._queue)
+            peer._link.resume_writing()
+            peer.send(ready_frame(4))  # the woken writer has not run yet
+            await until(lambda: len(received) == 5)
+            await until(lambda: peer._waiter is not None)
+            peer.send(ready_frame(5))  # idle again
+            await until(lambda: len(received) == 6)
+            return received, queued, await closed(listener, peer)
+
+        received, queued, counts = run(scenario())
+        assert received == list(range(6))
+        assert queued == 2
+        # 0, 1 and 5 inline, one drain for 2-4.
+        assert counts == (6, 3, 4)
+
+    @pytest.mark.parametrize("impairment", ["policy", "partition"])
+    def test_impaired_link_never_writes_inline(self, impairment):
+        async def scenario():
+            received = []
+            shaper = LinkShaper()
+            listener, peer = await connected(received, shaper)
+            if impairment == "policy":
+                shaper.set_policy(0, 1, LinkPolicy(latency=0.01))
+            else:
+                shaper.set_partition([frozenset({0}), frozenset({1})])
+            for i in range(5):
+                assert peer.send(ready_frame(i))
+                await asyncio.sleep(0)
+            await asyncio.sleep(0.05)
+            held = len(received)
+            shaper.heal()
+            await until(lambda: len(received) == 5)
+            return received, held, shaper, await closed(listener, peer)
+
+        received, held, shaper, (sent, direct, _) = run(scenario())
+        assert received == list(range(5))
+        assert (sent, direct) == (5, 0)
+        if impairment == "policy":
+            assert shaper.frames_shaped == 5
+        else:
+            assert held == 0
+
+    def test_frame_sent_while_writer_sleeps_on_delayed_one_follows_it(self):
+        """The writer holds a delayed frame it has already dequeued, so
+        an empty queue alone does not make the link idle."""
+        async def scenario():
+            received = []
+            shaper = LinkShaper()
+            listener, peer = await connected(received, shaper)
+            shaper.set_policy(0, 1, LinkPolicy(latency=0.2))
+            peer.send(ready_frame(0))
+            await until(lambda: shaper.frames_delayed == 1)
+            shaper.clear_policy(0, 1)
+            assert not peer._queue
+            peer.send(ready_frame(1))
+            await until(lambda: len(received) == 2)
+            return received, await closed(listener, peer)
+
+        received, (sent, direct, _) = run(scenario())
+        assert received == [0, 1]
+        assert (sent, direct) == (2, 0)
 
 
 class TestQueueBound:

@@ -114,6 +114,34 @@ class TestCombined:
         assert not fault.crashed(0.5)
         assert fault.crashed(1.0)
 
+    @pytest.mark.parametrize("delay_first", [True, False])
+    def test_mute_drops_the_vote_in_either_order(self, delay_first):
+        delay, mute = DelaySend(delay=0.05), Mute(frozenset({"vote"}))
+        fault = Combined((delay, mute) if delay_first else (mute, delay))
+        ready = Send(2, Msg("ready"))
+        timer = SetTimer("t", 1.0)
+        assert fault.filter_effects(
+            [timer, Send(2, Msg("vote")), ready], 0.0) == [
+            timer, Delayed(0.05, ready)]
+
+    def test_selective_after_delay_still_restricts_targets(self):
+        fault = Combined((DelaySend(delay=0.05),
+                          SelectiveDisseminator(frozenset({0, 3}))))
+        assert fault.filter_effects([Broadcast(Msg("datablock"))], 0.0) == [
+            Delayed(0.05, Send(0, Msg("datablock"))),
+            Delayed(0.05, Send(3, Msg("datablock")))]
+
+    def test_delays_add(self):
+        fault = Combined((DelaySend(delay=0.05), DelaySend(delay=0.02)))
+        [held] = fault.filter_effects([Send(2, Msg("vote"))], 0.0)
+        assert held == Delayed(0.05 + 0.02, Send(2, Msg("vote")))
+
+    def test_muted_vote_is_never_released(self):
+        core = FaultyCore(_ScriptedCore([Send(2, Msg("vote"))]), Combined((
+            DelaySend(delay=0.05), Mute(frozenset({"vote"})))))
+        assert core.start(0.0) == []
+        assert core.held == {}
+
 
 class TestDelaySend:
     def test_wraps_sends_and_broadcasts(self):
