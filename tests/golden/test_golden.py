@@ -21,6 +21,7 @@ description.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import sys
@@ -28,6 +29,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.harness.cluster import Cluster
 from repro.harness.spec import RunSpec, execute
 
 GOLDEN = Path(__file__).resolve().parent
@@ -94,6 +96,33 @@ def test_report_matches_golden(protocol, scenario):
     assert not changed, (
         f"{protocol}-{scenario}: {len(changed)} modelled values moved: "
         + ", ".join(changed[:40]))
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_fault_free_run_leaves_no_cyclic_garbage(protocol, monkeypatch):
+    """The simulator's run loop pauses the cyclic collector
+    (``repro.sim.events``) on the premise that running a cluster makes
+    no cyclic garbage.  A cycle put on a hot path fails here instead of
+    growing memory during paused runs.  The cluster itself is cyclic, so
+    the check runs while it is still alive."""
+    found = []
+    real_run = Cluster.run
+
+    def checked_run(cluster, duration):
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            events = real_run(cluster, duration)
+            found.append(gc.collect())
+        finally:
+            if enabled:
+                gc.enable()
+        return events
+
+    monkeypatch.setattr(Cluster, "run", checked_run)
+    execute(golden_spec(protocol, "fault-free"))
+    assert found == [0]
 
 
 def test_changed_keys_names_the_leaf():

@@ -113,12 +113,16 @@ class TestLiveCommits:
 
 
 class TestLiveReport:
-    def test_report_matches_sim_schema(self):
-        """Live and simulated runs emit the same report structure."""
-        live_report = run(run_live(
+    """Both tests read one live run's report."""
+
+    @pytest.fixture(scope="class")
+    def live_report(self):
+        return run(run_live(
             n=4, client_count=1, duration=1.5, total_rate=2000.0,
             bundle_size=100))
 
+    def test_report_matches_sim_schema(self, live_report):
+        """Live and simulated runs emit the same report structure."""
         sim_cluster = build_leopard_cluster(4, seed=0, warmup=0.1)
         sim_cluster.run(1.0)
         sim_report = sim_cluster.report()
@@ -135,23 +139,20 @@ class TestLiveReport:
         assert sim_report["backend"] == "sim"
         assert live_report["protocol"] == sim_report["protocol"]
 
-    def test_report_values_sane(self):
-        report = run(run_live(
-            n=4, client_count=1, duration=1.5, total_rate=2000.0,
-            bundle_size=100))
-        assert report["throughput_rps"] > 0
-        assert not math.isnan(report["latency_s"]["mean"])
-        assert 0 < report["latency_s"]["p50"] < 5.0
-        assert report["transport"]["decode_errors"] == 0
-        assert report["transport"]["unroutable_frames"] == 0
+    def test_report_values_sane(self, live_report):
+        assert live_report["throughput_rps"] > 0
+        assert not math.isnan(live_report["latency_s"]["mean"])
+        assert 0 < live_report["latency_s"]["p50"] < 5.0
+        assert live_report["transport"]["decode_errors"] == 0
+        assert live_report["transport"]["unroutable_frames"] == 0
         # The write counters outlive the routers' teardown.
-        transport = report["transport"]
+        transport = live_report["transport"]
         assert 0 < transport["socket_writes"] <= transport["frames_sent"]
         assert 0 < transport["direct_frames"] <= transport["frames_sent"]
         # Vote traffic flows replica->leader; datablocks are broadcast by
         # the client's assigned replica and received by everyone else.
-        measure = report["measure_replica"]
-        node_bytes = report["bytes_by_class"][measure]
+        measure = live_report["measure_replica"]
+        node_bytes = live_report["bytes_by_class"][measure]
         assert node_bytes["sent"].get("vote", 0) > 0
         assert node_bytes["recv"].get("datablock", 0) > 0
 
