@@ -540,25 +540,24 @@ class RecoveryHost:
 # ---------------------------------------------------------------------------
 
 
-def recovery_section(replicas: list, *, snapshots_persisted: int = 0,
+def recovery_section(summaries: dict[int, dict], *,
+                     snapshots_persisted: int = 0,
                      restored_from_disk: list[int] | tuple[int, ...] = ()
                      ) -> dict | None:
-    """Build the schema-7 ``recovery`` report section from replica cores.
+    """Build the schema-7 ``recovery`` report section.
 
-    ``None`` when no replica ever entered recovery and no durable
-    snapshot activity happened — clean runs keep a clean report.
+    ``summaries`` maps replica ids to their cores'
+    :meth:`RecoveryHost.recovery_summary` dicts, taken in-process or
+    sent home by replica child processes.  ``None`` when no replica ever entered
+    recovery and no durable snapshot activity happened — clean runs keep
+    a clean report.
     """
-    sections: dict[str, dict] = {}
-    any_recovery = False
-    for core in replicas:
-        info = core.recovery_summary()
-        sections[str(core.node_id)] = info
-        if info.get("rounds"):
-            any_recovery = True
+    any_recovery = any(info.get("rounds") for info in summaries.values())
     if not (any_recovery or snapshots_persisted or restored_from_disk):
         return None
     return {
-        "replicas": sections,
+        "replicas": {str(replica_id): info
+                     for replica_id, info in sorted(summaries.items())},
         "snapshots_persisted": snapshots_persisted,
         "restored_from_disk": sorted(restored_from_disk),
     }

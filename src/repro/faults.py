@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from itertools import count
 from typing import Hashable
 
+from repro.errors import ConfigError
 from repro.interfaces import Broadcast, Effect, Message, Send, SetTimer
 from repro.obs.tracer import TracedCore
 
@@ -391,6 +392,22 @@ def fault_from_spec(spec: dict | None) -> FaultBehavior:
         return Combined(tuple(fault_from_spec(sub)
                               for sub in spec["behaviors"]))
     raise ValueError(f"unknown fault spec kind {kind!r}")
+
+
+def pick_measure_replica(config, faults: dict[int, FaultBehavior]) -> int:
+    """The replica whose executions a run reports: the first honest
+    non-leader (paper §VI), after checking ``faults`` holds at most f.
+
+    Every host — the simulator, the in-process live cluster and the
+    process deployment — picks with this one rule.
+    """
+    if len(faults) > config.f:
+        raise ConfigError(f"at most f={config.f} faulty replicas allowed")
+    leader = config.leader_of(1)
+    for candidate in range(config.n):
+        if candidate != leader and candidate not in faults:
+            return candidate
+    raise ConfigError("no honest non-leader replica available to measure")
 
 
 def faults_section(faults: dict[int, FaultBehavior], scenario: str | None,

@@ -30,6 +30,7 @@ from repro.faults import (
     faults_section,
     hosted_core,
     partition_behavior,
+    pick_measure_replica,
 )
 from repro.obs.timeseries import TimeSeries
 from repro.protocols import ProtocolSpec, get_protocol
@@ -182,7 +183,8 @@ class Cluster:
     def recovery_section(self) -> dict | None:
         """The report's ``recovery`` section (``None`` for a clean run)."""
         from repro.core.recovery import recovery_section
-        return recovery_section(self.replicas)
+        return recovery_section({core.node_id: core.recovery_summary()
+                                 for core in self.replicas})
 
     def timeseries_section(self) -> dict | None:
         """Rendered interval curve (``None`` without a collector)."""
@@ -311,13 +313,6 @@ def _bucket_width_hint(block_bytes: int, bandwidth_bps: float,
     return min(4e-3, max(5e-5, max(1, fanout) * quantum / 4.0))
 
 
-def _pick_measure_replica(n: int, leader: int, faulty: set[int]) -> int:
-    for candidate in range(n):
-        if candidate != leader and candidate not in faulty:
-            return candidate
-    raise ConfigError("no honest non-leader replica available to measure")
-
-
 def build_cluster(
         protocol: str,
         n: int,
@@ -371,8 +366,7 @@ def build_cluster(
     if config.n != n:
         raise ConfigError("config.n must match the requested cluster size")
     faults = dict(faults or {})
-    if len(faults) > config.f:
-        raise ConfigError(f"at most f={config.f} faulty replicas allowed")
+    measure = pick_measure_replica(config, faults)
     if client_count is None:
         client_count = spec.sim_clients(n)
     if total_rate is None:
@@ -388,7 +382,6 @@ def build_cluster(
         bucket_width=_bucket_width_hint(block_bytes, bandwidth_bps, fanout))
     context = spec.make_context(config, seed)
     leader = config.leader_of(1)
-    measure = _pick_measure_replica(n, leader, set(faults))
 
     replicas = []
     # One shared cost-model closure per role: every replica host holding

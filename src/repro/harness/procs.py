@@ -4,17 +4,21 @@ The in-process :class:`repro.net.live.LiveCluster` hosts every core on a
 single asyncio event loop, so however many replicas it boots, one GIL
 executes all of them — fine for protocol smoke tests, useless for
 stressing the CPU model the simulator claims to reproduce.  This module
-launches **one OS process per replica** instead:
+runs one :class:`repro.harness.spec.RunSpec` with **one OS process per
+replica** instead:
 
 * the parent picks a free localhost port for every node up front, so the
   complete host:port address book is known before anything boots;
 * each replica child is ``python -m repro.harness.procs --replica-spec
-  <file>``: it rebuilds its core from the (protocol, n, node_id, seed)
-  spec — key material is dealt deterministically from the seed, so no
-  secrets cross process boundaries — binds its listener at its published
-  port, serves until the spec's absolute stop time, then writes a JSON
-  summary (executed requests, per-class byte counters, transport health,
-  recovery counters) and exits 0;
+  <file>``: the file holds the run's ``RunSpec`` plus the child's replica
+  id and the facts of this deployment (address book, epoch, stop
+  ceiling, report and snapshot paths, trace capacity, its fault).  The
+  child builds its core from the spec exactly as ``execute`` builds an
+  in-process run — key material is dealt deterministically from the
+  seed, so no secrets cross process boundaries — binds its listener at
+  its published port, serves until the parent's SIGTERM, then writes a
+  JSON summary (executed requests, per-class byte counters, transport
+  health, recovery counters) and exits 0;
 * each child also persists a **durable state snapshot** (its executed
   ledger tail) every :data:`SNAPSHOT_PERIOD` seconds via atomic
   tmp-then-replace writes; a chaos-respawned child finds its
@@ -27,8 +31,8 @@ launches **one OS process per replica** instead:
 * the parent hosts the load-generating clients (latency is measured
   client-side, so acks terminate where the latency clock lives), reaps
   every child on **every** exit path via :class:`ProcessSupervisor`, and
-  merges the child summaries with its client metrics into the shared
-  :func:`repro.stats.standard_report` schema.
+  merges the child summaries with its client metrics through the same
+  report builders an in-process run uses.
 
 All processes share one wall-clock epoch (``time.time()`` at spawn), so
 cross-process timestamps — bundle submission times in spans, proposal
@@ -47,8 +51,10 @@ import subprocess
 import sys
 import tempfile
 import time
+from dataclasses import asdict
 from pathlib import Path
 
+from repro.core.recovery import recovery_section
 from repro.errors import ConfigError
 from repro.faults import (
     FaultBehavior,
@@ -56,8 +62,10 @@ from repro.faults import (
     fault_to_spec,
     faults_section,
     hosted_core,
+    pick_measure_replica,
 )
-from repro.net.chaos import PROCESS_OPS, ChaosScenario
+from repro.harness.spec import RunSpec
+from repro.net.chaos import PROCESS_OPS, load_scenario, run_scenario_live
 from repro.net.live import transport_summary
 from repro.net.node import LiveNode
 from repro.net.transport import Router
@@ -227,23 +235,6 @@ class ProcessSupervisor:
                 if proc.poll() is not None and proc.returncode != 0
                 and name not in self.expected_exits}
 
-    def wait_all(self, timeout: float) -> dict[str, int | None]:
-        """Wait (reaping) up to ``timeout`` s; stragglers get terminated.
-
-        Returns:
-            ``name -> exit code`` (negative for signal deaths, ``None``
-            only if a child somehow survives SIGKILL).
-        """
-        deadline = time.monotonic() + timeout
-        for name, proc in self.procs.items():
-            remaining = max(0.0, deadline - time.monotonic())
-            try:
-                proc.wait(timeout=remaining)
-            except subprocess.TimeoutExpired:
-                pass
-        self.terminate_all()
-        return {name: proc.returncode for name, proc in self.procs.items()}
-
     def terminate_all(self) -> None:
         """SIGTERM every survivor, escalate to SIGKILL, reap everything."""
         survivors = [proc for proc in self.procs.values()
@@ -286,35 +277,31 @@ class ProcessSupervisor:
 
 
 # ---------------------------------------------------------------------------
-# Child side: host one replica core until the spec's stop time
+# Child side: host one replica core until the parent's SIGTERM
 # ---------------------------------------------------------------------------
 
 
-def run_replica_from_spec(spec: dict) -> dict:
-    """Child entry: boot one replica, serve, return its summary dict."""
-    protocol = spec["protocol"]
-    n = int(spec["n"])
-    node_id = int(spec["node_id"])
-    epoch = float(spec["epoch"])
-    stop_at_unix = float(spec["stop_at_unix"])
-    proto = get_protocol(protocol)
-    config = proto.live_config(n, int(spec["payload_size"]),
-                               int(spec["datablock_size"]))
-    metrics = MetricsCollector(warmup=float(spec["warmup"]),
-                               timeseries=TimeSeries())
+def run_replica(child: dict) -> dict:
+    """Child entry: boot one replica of ``child["spec"]``, serve, and
+    return its summary dict."""
+    spec = RunSpec(**child["spec"])
+    node_id = int(child["node_id"])
+    epoch = float(child["epoch"])
+    proto = get_protocol(spec.protocol)
+    config = spec.live_config()
+    metrics = MetricsCollector(timeseries=TimeSeries())
     core = proto.make_replica(node_id, config,
-                              proto.make_context(config, int(spec["seed"])),
+                              proto.make_context(config, spec.seed),
                               metrics.perf)
     # Durable crash-recovery: a snapshot file left by a predecessor
     # process (this child is a chaos respawn) is reloaded *before* boot,
     # so the replica restarts from its persisted executed prefix instead
     # of seed-rebuilding — then catches up the rest over the wire.
-    snapshot_path = spec.get("snapshot_path")
-    snapshot_period = float(spec.get("snapshot_period") or 0.0)
+    snapshot_path = Path(child["snapshot_path"])
     restored_from_disk = False
-    if snapshot_path and Path(snapshot_path).exists():
+    if snapshot_path.exists():
         try:
-            snapshot = json.loads(Path(snapshot_path).read_text())
+            snapshot = json.loads(snapshot_path.read_text())
         except (OSError, ValueError):
             snapshot = None  # torn write at SIGKILL: fall back to wire
         if snapshot:
@@ -323,20 +310,18 @@ def run_replica_from_spec(spec: dict) -> dict:
         core.begin_recovery()
     snapshots_persisted = 0
     address_book = {int(key): (host, int(port))
-                    for key, (host, port) in spec["address_book"].items()}
+                    for key, (host, port) in child["address_book"].items()}
     host, port = address_book[node_id]
     router = Router(node_id, address_book, host=host, port=port)
 
     def clock() -> float:
         return time.time() - epoch
 
-    # Static fault behaviours travel as plain-JSON specs (the behaviour
-    # object itself never crosses the process boundary).
-    trace_capacity = spec.get("trace_capacity")
+    trace_capacity = child["trace_capacity"]
     tracer = RingTracer(int(trace_capacity)) if trace_capacity else None
     node = LiveNode(
-        hosted_core(core, fault_from_spec(spec.get("fault")), tracer),
-        router, range(n), metrics, clock)
+        hosted_core(core, fault_from_spec(child["fault"]), tracer),
+        router, range(spec.n), metrics, clock)
 
     async def sample_loop(series: TimeSeries) -> None:
         while True:
@@ -351,19 +336,18 @@ def run_replica_from_spec(spec: dict) -> dict:
         # one.  The written entries come from the same serve-side
         # callbacks that answer wire fetches.
         nonlocal snapshots_persisted
-        target = Path(snapshot_path)
-        tmp = target.with_suffix(".snap.tmp")
+        tmp = snapshot_path.with_suffix(".snap.tmp")
         while True:
-            await asyncio.sleep(snapshot_period)
+            await asyncio.sleep(SNAPSHOT_PERIOD)
             state = _snapshot_state(core, clock())
             try:
                 tmp.write_text(json.dumps(state))
-                tmp.replace(target)
+                tmp.replace(snapshot_path)
             except OSError:
                 continue  # disk hiccup: keep the previous snapshot
             snapshots_persisted += 1
 
-    async def serve() -> float:
+    async def serve() -> None:
         stop = asyncio.Event()
         loop = asyncio.get_running_loop()
         # The parent ends a run with SIGTERM — a *graceful* stop: flush
@@ -373,43 +357,32 @@ def run_replica_from_spec(spec: dict) -> dict:
         loop.add_signal_handler(signal.SIGTERM, stop.set)
         await node.start()
         node.boot()
-        sampler = loop.create_task(sample_loop(metrics.timeseries)) \
-            if metrics.timeseries is not None else None
-        snapshotter = loop.create_task(snapshot_loop()) \
-            if snapshot_path and snapshot_period > 0 else None
-        remaining = stop_at_unix - time.time()
+        tasks = [loop.create_task(sample_loop(metrics.timeseries)),
+                 loop.create_task(snapshot_loop())]
+        remaining = float(child["stop_at_unix"]) - time.time()
         if remaining > 0:
             try:
                 await asyncio.wait_for(stop.wait(), timeout=remaining)
             except asyncio.TimeoutError:
                 pass
-        stopped_at = clock()
-        for task in (sampler, snapshotter):
-            if task is None:
-                continue
+        for task in tasks:
             task.cancel()
             try:
                 await task
             except asyncio.CancelledError:
                 pass
         await node.shutdown()
-        return stopped_at
 
     faults_at_start = minor_faults()
-    stopped_at = asyncio.run(serve())
+    asyncio.run(serve())
     return {
-        "node_id": node_id,
-        "protocol": protocol,
         "executed_requests": metrics.executed_requests.get(node_id, 0),
-        "stopped_at": stopped_at,
         "sent_bytes": router.stats.sent_bytes,
         "sent_msgs": router.stats.sent_msgs,
         "recv_bytes": router.stats.recv_bytes,
         "recv_msgs": router.stats.recv_msgs,
-        "events_processed": router.stats.total_recv_msgs(),
         **transport_summary([router]),
-        "timeseries": metrics.timeseries.to_jsonable()
-        if metrics.timeseries is not None else None,
+        "timeseries": metrics.timeseries.to_jsonable(),
         "perf": metrics.perf.snapshot(),
         "trace": tracer.to_jsonable() if tracer is not None else None,
         "recovery": core.recovery_summary(),
@@ -428,9 +401,9 @@ def _child_main(argv: list[str]) -> int:
     parser.add_argument("--replica-spec", required=True,
                         help="path to the JSON replica spec")
     args = parser.parse_args(argv)
-    spec = json.loads(Path(args.replica_spec).read_text())
-    summary = run_replica_from_spec(spec)
-    report_path = Path(spec["report_path"])
+    child = json.loads(Path(args.replica_spec).read_text())
+    summary = run_replica(child)
+    report_path = Path(child["report_path"])
     tmp_path = report_path.with_suffix(".tmp")
     tmp_path.write_text(json.dumps(summary, sort_keys=True))
     tmp_path.replace(report_path)  # atomic: parent never reads half a file
@@ -488,300 +461,204 @@ def _wait_replicas_listening(supervisor: ProcessSupervisor,
             time.sleep(0.1)
 
 
-async def _serve_clients(clients: list, n: int,
-                         address_book: dict[int, tuple[str, int]],
-                         metrics: MetricsCollector, epoch: float,
-                         stop_at_unix: float,
-                         supervisor: ProcessSupervisor,
-                         chaos_events: list | None = None,
-                         chaos_applied: list | None = None,
-                         tracer=None) -> list[Router]:
-    """Host the client cores in-parent until stop time or a child death.
+class ProcessDeployment:
+    """The parent's side of a ``--processes`` run of one :class:`RunSpec`.
 
-    With ``chaos_events`` (resolved crash/restart events, sorted by
-    time), the parent doubles as the chaos controller: it SIGKILLs and
-    respawns replica children at the scripted offsets from ``epoch``,
-    appending each executed event to ``chaos_applied``.
+    Built before any child spawns, so a bad fault set or scenario fails
+    first.  It holds the load clients and the child supervisor, and is
+    the cluster :func:`repro.net.chaos.run_scenario_live` drives:
+    ``crash`` is :meth:`ProcessSupervisor.kill`, ``restart`` is
+    :meth:`ProcessSupervisor.respawn` on the same port.
     """
-    def clock() -> float:
-        return time.time() - epoch
 
-    pending = list(chaos_events or [])
-    nodes = []
-    for core in clients:
-        host, port = address_book[core.node_id]
-        router = Router(core.node_id, address_book, host=host, port=port)
-        node = LiveNode(hosted_core(core, tracer=tracer), router, range(n),
-                        metrics, clock)
-        nodes.append(node)
-    try:
-        await asyncio.gather(*(node.start() for node in nodes))
-        for node in nodes:
-            node.boot()
-        while time.time() < stop_at_unix:
-            failed = supervisor.failed()
+    def __init__(self, spec: RunSpec,
+                 faults: dict[int, FaultBehavior] | None = None,
+                 tracer: RingTracer | None = None) -> None:
+        self.spec = spec
+        self.n = spec.n
+        self.tracer = tracer
+        self.faults = dict(faults or {})
+        config = spec.live_config()
+        self.leader = config.leader_of(1)
+        self.measure_replica = pick_measure_replica(config, self.faults)
+        # Static faults cross the process boundary as plain-JSON specs.
+        self.fault_specs = {replica_id: fault_to_spec(fault)
+                            for replica_id, fault in self.faults.items()}
+        self.scenario = load_scenario(spec.scenario) \
+            if spec.scenario else None
+        if self.scenario is not None:
+            unsupported = self.scenario.ops() - PROCESS_OPS
+            if unsupported:
+                raise ConfigError(
+                    f"scenario {self.scenario.name!r} uses ops "
+                    f"{sorted(unsupported)} the --processes mode cannot "
+                    "execute (only crash/restart act on real processes); "
+                    "run it in-process instead")
+        proto = get_protocol(spec.protocol)
+        count = spec.client_count()
+        self.clients = [proto.make_client(spec.n + index, config,
+                                          spec.rate / count,
+                                          spec.bundle_size,
+                                          client_timeout=2.0)
+                        for index in range(count)]
+        self.address_book = {
+            node_id: ("127.0.0.1", port) for node_id, port
+            in enumerate(pick_free_ports(spec.n + count))}
+        self.metrics = MetricsCollector(timeseries=TimeSeries())
+        self.supervisor = ProcessSupervisor(term_grace=CHILD_EXIT_GRACE)
+        self.nodes: list[LiveNode] = []
+        self.chaos_log: list[dict] = []
+        self.faults_at_start = minor_faults()
+        # Children clock from the spawn epoch; the parent restarts its
+        # clock once every child listens (see run_live_processes).
+        self.spawn_epoch = self.epoch = time.time()
+
+    def clock(self) -> float:
+        return time.time() - self.epoch
+
+    async def apply_chaos_event(self, event) -> None:
+        """Execute one resolved ``crash`` / ``restart`` on a child."""
+        name = f"replica-{event.args['node']}"
+        if event.op == "crash":
+            self.supervisor.kill(name)
+        else:  # "restart": __init__ rejected every other op
+            self.supervisor.respawn(name)
+        self.chaos_log.append(event.to_jsonable())
+        self.metrics.timeseries.annotate(
+            self.clock(), event.op, event.describe())
+
+    async def serve(self, duration: float) -> None:
+        """Host the clients for ``duration`` s, driving the scenario and
+        polling child health; a dead child aborts the run."""
+        for core in self.clients:
+            host, port = self.address_book[core.node_id]
+            router = Router(core.node_id, self.address_book, host=host,
+                            port=port)
+            self.nodes.append(LiveNode(
+                hosted_core(core, tracer=self.tracer), router,
+                range(self.n), self.metrics, self.clock))
+        duties: list[asyncio.Future] = []
+        try:
+            await asyncio.gather(*(node.start() for node in self.nodes))
+            for node in self.nodes:
+                node.boot()
+            duties.append(asyncio.ensure_future(
+                self._poll_health(duration)))
+            if self.scenario is not None:
+                duties.append(asyncio.ensure_future(
+                    run_scenario_live(self, self.scenario)))
+            await asyncio.gather(*duties)
+        finally:
+            for duty in duties:
+                duty.cancel()  # the other duty, when one raised
+            await asyncio.gather(*(node.shutdown() for node in self.nodes))
+
+    async def _poll_health(self, duration: float) -> None:
+        while self.clock() < duration:
+            failed = self.supervisor.failed()
             if failed:
                 raise RuntimeError(
                     f"replica process(es) died mid-run: {failed}")
-            while pending and pending[0].at <= clock():
-                event = pending.pop(0)
-                name = f"replica-{event.args['node']}"
-                if event.op == "crash":
-                    supervisor.kill(name)
-                else:  # "restart" — the scheduler validated the op set
-                    supervisor.respawn(name)
-                if chaos_applied is not None:
-                    chaos_applied.append(event.to_jsonable())
-                if metrics.timeseries is not None:
-                    metrics.timeseries.annotate(
-                        clock(), event.op, event.describe())
-            sleep_until = stop_at_unix
-            if pending:
-                sleep_until = min(sleep_until, epoch + pending[0].at)
             await asyncio.sleep(
-                min(POLL_INTERVAL, max(0.0, sleep_until - time.time())))
-    finally:
-        await asyncio.gather(*(node.shutdown() for node in nodes))
-    return [node.router for node in nodes]
+                min(POLL_INTERVAL, max(0.0, duration - self.clock())))
 
 
-def run_live_processes(n: int = 4, client_count: int = 1,
-                       duration: float = 5.0,
-                       protocol: str = "leopard",
-                       total_rate: float = 4000.0, bundle_size: int = 200,
-                       payload_size: int = 128, datablock_size: int = 100,
-                       seed: int = 0, warmup: float = 0.0,
-                       host: str = "127.0.0.1",
+def run_live_processes(spec: RunSpec, *,
                        faults: dict[int, FaultBehavior] | None = None,
-                       scenario: ChaosScenario | None = None,
                        tracer: RingTracer | None = None) -> dict:
-    """Boot one process per replica, serve ``duration`` s, merge reports.
+    """Run ``spec`` with one process per replica and merge the reports.
 
     Returns the :func:`repro.stats.standard_report` dict with a
     ``deployment`` section describing the process topology and the exit
     code of every replica child.
 
-    ``duration`` counts *measured* seconds: the clock starts once every
-    replica child's listener accepts connections, so slow child boots
-    (cold interpreters on a loaded CI host) lengthen the run instead of
-    eating the window.  ``warmup`` must be 0 in this mode: replica
-    children only know their own process clock (which starts at spawn,
-    before the measurement epoch), so a child-side warmup window would
-    be consumed by boot time while the parent still shrank the
-    measurement denominator — silently inflating reported throughput.
+    ``spec.duration`` counts *measured* seconds: the clock starts once
+    every replica child's listener accepts connections, so slow child
+    boots lengthen the run instead of eating the window (``RunSpec``
+    rejects a warmup here: a child's clock starts at spawn, before the
+    measurement epoch).  With a scenario the run lasts at least 0.5 s
+    past its last event.
 
-    Fault injection crosses the process boundary two ways: static
-    ``faults`` ship as plain-JSON specs inside each child's replica spec
-    (the child rebuilds the behaviour locally), and a chaos ``scenario``
-    is executed by the parent against the *real processes* — ``crash``
-    is a SIGKILL, ``restart`` a respawn on the same port.  Scenario ops
-    beyond crash/restart (partitions, shaping, mid-run fault swaps)
-    would need an in-child control channel and are rejected up front;
-    use the in-process mode for those.
+    Static ``faults`` ship as plain-JSON specs inside each child's
+    replica spec; a scenario runs in the parent against the real
+    processes.  Scenario ops beyond crash/restart (partitions, shaping,
+    mid-run fault swaps) would need an in-child control channel and are
+    rejected up front; use the in-process mode for those.
 
-    Telemetry crosses the boundary the same way: each child buckets its
-    own executions into a :class:`repro.obs.timeseries.TimeSeries` on
-    its process clock and ships the raw buckets (plus its perf-counter
-    snapshot and, with a ``tracer``, its ring-buffer trace) home in the
-    summary; the parent shifts them onto the measurement epoch and
-    merges them with its client-side series, so the report's
-    ``timeseries``/``trace`` sections look exactly like an in-process
-    run's.
+    Telemetry crosses the boundary in each child's summary: its raw
+    time-series buckets, perf counters and, with a ``tracer``, its
+    ring-buffer trace, shifted onto the measurement clock by the merge.
 
     Raises:
-        ConfigError: for a nonzero ``warmup`` (see above), no clients,
-            a non-serializable fault, or a scenario with ops this mode
-            cannot execute.
+        ConfigError: for more than f faults or a scenario with ops this
+            mode cannot execute.
+        ValueError: for a fault with no plain-JSON spec.
         RuntimeError: if any replica child crashes during boot or
             mid-run (scenario-killed children excepted), never starts
             listening, or fails to produce its summary (children are
             reaped on every one of those paths).
     """
-    if client_count < 1:
-        raise ConfigError("need at least one client")
-    if warmup != 0.0:
-        raise ConfigError(
-            "warmup is not supported in --processes mode: replica "
-            "children cannot gate it on the measurement epoch; use the "
-            "in-process mode for warmup-windowed runs")
-    faults = dict(faults or {})
-    proto = get_protocol(protocol)
-    config = proto.live_config(n, payload_size, datablock_size)
-    if len(faults) > config.f:
-        raise ConfigError(
-            f"at most f={config.f} faulty replicas allowed")
-    fault_specs = {replica_id: fault_to_spec(fault)
-                   for replica_id, fault in faults.items()}
-    leader = config.leader_of(1)
-    measure_replica = next(replica_id for replica_id in range(n)
-                           if replica_id != leader)
-    ports = pick_free_ports(n + client_count, host)
-    address_book = {node_id: (host, ports[node_id])
-                    for node_id in range(n + client_count)}
-    metrics = MetricsCollector(warmup=warmup, timeseries=TimeSeries())
-    per_client_rate = total_rate / client_count
-    clients = [proto.make_client(n + index, config, per_client_rate,
-                                 bundle_size, client_timeout=2.0)
-               for index in range(client_count)]
-
-    chaos_events: list = []
-    chaos_applied: list = []
-    if scenario is not None:
-        unsupported = scenario.ops() - PROCESS_OPS
-        if unsupported:
-            raise ConfigError(
-                f"scenario {scenario.name!r} uses ops "
-                f"{sorted(unsupported)} the --processes mode cannot "
-                "execute (only crash/restart act on real processes); "
-                "run it in-process instead")
-        primaries = frozenset(
-            p for p in (getattr(c, "primary", getattr(c, "target", None))
-                        for c in clients) if p is not None)
-        resolved = scenario.resolve(n, leader, measure_replica, primaries)
-        chaos_events = sorted(resolved.events, key=lambda e: e.at)
-        duration = max(duration, resolved.duration() + 0.5)
-
-    spawn_epoch = time.time()
-    faults_at_start = minor_faults()
+    run = ProcessDeployment(spec, faults, tracer)
+    duration = spec.duration
+    if run.scenario is not None:
+        duration = max(duration, run.scenario.duration() + 0.5)
     # Fallback ceiling only: children normally stop on the parent's
     # SIGTERM; this bounds an orphaned child whose parent died.
-    ceiling_unix = spawn_epoch + BOOT_TIMEOUT + duration \
+    ceiling_unix = run.spawn_epoch + BOOT_TIMEOUT + duration \
         + 3.0 * CHILD_EXIT_GRACE
     env = _child_env()
-    exit_codes: dict[str, int | None] = {}
-    with tempfile.TemporaryDirectory(prefix="repro-procs-") as tmp:
+    with tempfile.TemporaryDirectory(prefix="repro-procs-") as tmp, \
+            run.supervisor as supervisor:
         tmpdir = Path(tmp)
-        report_paths: dict[int, Path] = {}
         log_paths: dict[int, Path] = {}
-        with ProcessSupervisor(term_grace=CHILD_EXIT_GRACE) as supervisor:
-            for replica_id in range(n):
-                report_paths[replica_id] = \
-                    tmpdir / f"replica-{replica_id}.json"
-                log_paths[replica_id] = tmpdir / f"replica-{replica_id}.log"
-                spec = {
-                    "protocol": protocol,
-                    "n": n,
-                    "node_id": replica_id,
-                    "seed": seed,
-                    "epoch": spawn_epoch,
-                    "stop_at_unix": ceiling_unix,
-                    "warmup": warmup,
-                    "payload_size": payload_size,
-                    "datablock_size": datablock_size,
-                    "address_book": address_book,
-                    "report_path": str(report_paths[replica_id]),
-                    "fault": fault_specs.get(replica_id),
-                    "trace_capacity": tracer.capacity
-                    if tracer is not None else None,
-                    # Stable path across respawns: a chaos-restarted
-                    # child finds its predecessor's snapshot here and
-                    # restores from disk instead of seed-rebuilding.
-                    "snapshot_path":
-                        str(tmpdir / f"replica-{replica_id}.snapshot.json"),
-                    "snapshot_period": SNAPSHOT_PERIOD,
-                }
-                spec_path = tmpdir / f"replica-{replica_id}.spec.json"
-                spec_path.write_text(json.dumps(spec))
-                supervisor.spawn(
-                    f"replica-{replica_id}",
-                    [sys.executable, "-m", "repro.harness.procs",
-                     "--replica-spec", str(spec_path)],
-                    env=env, log_path=log_paths[replica_id])
-            try:
-                _wait_replicas_listening(supervisor, address_book,
-                                         range(n))
-                # The measurement clock starts only now, with the whole
-                # cluster listening: ``duration`` means measured seconds,
-                # not "boot time plus whatever was left".
-                epoch = time.time()
-                client_routers = asyncio.run(_serve_clients(
-                    clients, n, address_book, metrics, epoch,
-                    epoch + duration, supervisor,
-                    chaos_events=chaos_events,
-                    chaos_applied=chaos_applied,
-                    tracer=tracer))
-            except RuntimeError as exc:
-                raise RuntimeError(
-                    f"{exc}; logs: {_tail_logs(log_paths)}") from exc
-            elapsed = time.time() - epoch
-            # Graceful end-of-run: SIGTERM makes each child flush its
-            # summary and exit 0 (terminate_all also reaps).
-            supervisor.terminate_all()
-            exit_codes = {name: proc.returncode
-                          for name, proc in supervisor.procs.items()}
-            respawns = supervisor.respawns
-            killed_for_good = {
-                int(name.split("-", 1)[1])
-                for name in supervisor.expected_exits}
-
+        for replica_id in range(spec.n):
+            stem = f"replica-{replica_id}"
+            log_paths[replica_id] = tmpdir / f"{stem}.log"
+            child = {
+                "spec": asdict(spec),
+                "node_id": replica_id,
+                "address_book": run.address_book,
+                "epoch": run.spawn_epoch,
+                "stop_at_unix": ceiling_unix,
+                "report_path": str(tmpdir / f"{stem}.json"),
+                # Stable across respawns: a restarted child restores
+                # from its predecessor's snapshot here.
+                "snapshot_path": str(tmpdir / f"{stem}.snapshot.json"),
+                "trace_capacity": tracer.capacity
+                if tracer is not None else None,
+                "fault": run.fault_specs.get(replica_id),
+            }
+            spec_path = tmpdir / f"{stem}.spec.json"
+            spec_path.write_text(json.dumps(child))
+            supervisor.spawn(
+                stem, [sys.executable, "-m", "repro.harness.procs",
+                       "--replica-spec", str(spec_path)],
+                env=env, log_path=log_paths[replica_id])
+        try:
+            _wait_replicas_listening(supervisor, run.address_book,
+                                     range(spec.n))
+            run.epoch = time.time()
+            asyncio.run(run.serve(duration))
+        except RuntimeError as exc:
+            raise RuntimeError(
+                f"{exc}; logs: {_tail_logs(log_paths)}") from exc
+        elapsed = run.clock()
+        # Graceful end-of-run: SIGTERM makes each child flush its
+        # summary and exit 0 (terminate_all also reaps).
+        supervisor.terminate_all()
         summaries: dict[int, dict] = {}
-        for replica_id, path in report_paths.items():
-            if not path.exists():
-                if replica_id in killed_for_good:
-                    # Scenario-crashed and never restarted: SIGKILL left
-                    # no summary by design.  A zeroed stub keeps the
-                    # report shape whole (the replica really did nothing
-                    # measurable after its crash).
-                    summaries[replica_id] = _stub_summary(replica_id,
-                                                          protocol)
-                    continue
+        for replica_id in range(spec.n):
+            path = tmpdir / f"replica-{replica_id}.json"
+            if path.exists():
+                summaries[replica_id] = json.loads(path.read_text())
+            elif f"replica-{replica_id}" not in supervisor.expected_exits:
+                code = supervisor.procs[f"replica-{replica_id}"].returncode
                 raise RuntimeError(
-                    f"replica {replica_id} produced no summary "
-                    f"(exit code {exit_codes.get(f'replica-{replica_id}')}"
-                    f"); logs: {_tail_logs(log_paths)}")
-            summaries[replica_id] = json.loads(path.read_text())
-
-    # No "shaping": that needs the in-process shaper.
-    fault_report = faults_section(
-        faults, scenario.name if scenario is not None else None,
-        chaos_applied, respawns)
-    # Children timestamp on their process clock (epoch = spawn); the
-    # parent measures from the post-boot epoch.  Shifting by the delta
-    # lands every child bucket and trace event on the measurement clock.
-    child_shift = epoch - spawn_epoch
-    series = metrics.timeseries
-    for replica_id, summary in sorted(summaries.items()):
-        if series is not None and summary.get("timeseries"):
-            series.merge_raw(summary["timeseries"], shift=child_shift,
-                             samples=replica_id == measure_replica)
-        if summary.get("perf"):
-            metrics.perf.merge_snapshot(summary["perf"])
-    timeseries_section = series.section(
-        measure_replica=measure_replica,
-        end=elapsed) if series is not None else None
-    trace_section = None
-    if tracer is not None and tracer.enabled:
-        parts = [(tracer.to_jsonable(), 0.0)]
-        parts.extend((summary["trace"], child_shift)
-                     for _, summary in sorted(summaries.items())
-                     if summary.get("trace"))
-        trace_section = merge_trace_parts(parts)
-    return _merge_report(protocol=protocol, n=n, metrics=metrics,
-                         faults_at_start=faults_at_start,
-                         summaries=summaries, client_routers=client_routers,
-                         measure_replica=measure_replica, warmup=warmup,
-                         elapsed=elapsed, exit_codes=exit_codes,
-                         faults=fault_report, respawns=respawns,
-                         timeseries=timeseries_section,
-                         trace=trace_section)
-
-
-def _stub_summary(replica_id: int, protocol: str) -> dict:
-    """A zeroed child summary for a scenario-killed, never-restarted replica."""
-    return {
-        "node_id": replica_id,
-        "protocol": protocol,
-        "executed_requests": 0,
-        "stopped_at": 0.0,
-        "sent_bytes": {}, "sent_msgs": {},
-        "recv_bytes": {}, "recv_msgs": {},
-        "events_processed": 0,
-        **transport_summary([]),
-        "timeseries": None, "perf": None, "trace": None,
-        "recovery": None, "snapshots_persisted": 0,
-        "restored_from_disk": False, "peak_rss_mb": None,
-        "minor_faults": None,
-    }
+                    f"replica {replica_id} produced no summary (exit code "
+                    f"{code}); logs: {_tail_logs(log_paths)}")
+            # else: scenario-crashed and never restarted, so SIGKILL left
+            # no summary; the merge counts it as having done nothing.
+    return _merge_report(run, summaries, elapsed)
 
 
 def _tail_logs(log_paths: dict[int, Path], limit: int = 400) -> dict:
@@ -796,93 +673,93 @@ def _tail_logs(log_paths: dict[int, Path], limit: int = 400) -> dict:
     return tails
 
 
-def _merge_report(*, protocol: str, n: int, metrics: MetricsCollector,
-                  faults_at_start: int,
-                  summaries: dict[int, dict],
-                  client_routers: list[Router], measure_replica: int,
-                  warmup: float, elapsed: float,
-                  exit_codes: dict[str, int | None],
-                  faults: dict | None = None,
-                  respawns: int = 0,
-                  timeseries: dict | None = None,
-                  trace: dict | None = None) -> dict:
-    """Fold child summaries + parent client metrics into one report."""
+def _merge_report(run: ProcessDeployment, summaries: dict[int, dict],
+                  elapsed: float) -> dict:
+    """One standard report from the child summaries and the parent's
+    client metrics, built with the in-process report's section builders.
+
+    The measurement window is the parent's client-serving span: children
+    boot before it and stop after it, so commits only happen inside it.
+    Children timestamp on their spawn-epoch clock, so their buckets and
+    trace events shift by the boot time onto the measurement clock.
+    """
+    metrics, series = run.metrics, run.metrics.timeseries
+    shift = run.epoch - run.spawn_epoch
+    routers = [node.router for node in run.nodes]
+    transport = transport_summary(routers)
+    events = sum(router.stats.total_recv_msgs() for router in routers)
     byte_stats: dict[int, NicStats] = {}
-    events = sum(router.stats.total_recv_msgs()
-                 for router in client_routers)
-    transport = transport_summary(client_routers)
-    for replica_id, summary in sorted(summaries.items()):
+    for replica_id in range(run.n):
+        summary = summaries.get(replica_id, {})
         metrics.executed_requests[replica_id] = \
-            summary["executed_requests"]
-        stats = NicStats()
-        for msg_class, count in summary["sent_bytes"].items():
+            summary.get("executed_requests", 0)
+        stats = byte_stats[replica_id] = NicStats()
+        for msg_class, count in summary.get("sent_bytes", {}).items():
             stats.add_counts(msg_class, sent_bytes=count,
-                             sent_msgs=summary["sent_msgs"].get(
-                                 msg_class, 0))
-        for msg_class, count in summary["recv_bytes"].items():
+                             sent_msgs=summary["sent_msgs"][msg_class])
+        for msg_class, count in summary.get("recv_bytes", {}).items():
             stats.add_counts(msg_class, recv_bytes=count,
-                             recv_msgs=summary["recv_msgs"].get(
-                                 msg_class, 0))
-        byte_stats[replica_id] = stats
-        events += summary["events_processed"]
+                             recv_msgs=summary["recv_msgs"][msg_class])
+        events += stats.total_recv_msgs()
         for counter in transport:
             transport[counter] += summary.get(counter, 0)
-    # The measurement window is the parent's client-serving span: replica
-    # children boot before it and are stopped after it, so commits only
-    # happen inside it.
-    duration = max(elapsed - warmup, 0.0)
-    recovery_replicas: dict[str, dict] = {}
-    snapshots_persisted = 0
-    restored_from_disk: list[int] = []
-    for replica_id, summary in sorted(summaries.items()):
-        snapshots_persisted += summary.get("snapshots_persisted", 0)
-        if summary.get("restored_from_disk"):
-            restored_from_disk.append(replica_id)
-        if summary.get("recovery") is not None:
-            recovery_replicas[str(replica_id)] = summary["recovery"]
-    recovery = None
-    if (snapshots_persisted or restored_from_disk
-            or any(info.get("rounds", 0)
-                   for info in recovery_replicas.values())):
-        recovery = {
-            "replicas": recovery_replicas,
-            "snapshots_persisted": snapshots_persisted,
-            "restored_from_disk": restored_from_disk,
-        }
+        if summary.get("timeseries"):
+            series.merge_raw(summary["timeseries"], shift=shift,
+                             samples=replica_id == run.measure_replica)
+        if summary.get("perf"):
+            metrics.perf.merge_snapshot(summary["perf"])
+    recovery = recovery_section(
+        {replica_id: summary["recovery"]
+         for replica_id, summary in summaries.items()},
+        snapshots_persisted=sum(summary["snapshots_persisted"]
+                                for summary in summaries.values()),
+        restored_from_disk=[replica_id for replica_id, summary
+                            in summaries.items()
+                            if summary["restored_from_disk"]])
     report = standard_report(
         backend="live",
-        protocol=protocol,
-        n=n,
-        duration=duration,
+        protocol=run.spec.protocol,
+        n=run.n,
+        duration=elapsed,
         metrics=metrics,
         byte_stats=byte_stats,
-        measure_replica=measure_replica,
+        measure_replica=run.measure_replica,
         events_processed=events,
         events_per_sec=events / elapsed if elapsed > 0 else 0.0,
-        faults=faults,
-        timeseries=timeseries,
+        # No "shaping": that needs the in-process shaper.
+        faults=faults_section(
+            run.faults, run.scenario.name if run.scenario else None,
+            run.chaos_log, run.supervisor.respawns),
+        timeseries=series.section(measure_replica=run.measure_replica,
+                                  end=elapsed),
         recovery=recovery,
     )
     report["transport"] = transport
+
+    def per_child(key: str) -> dict:
+        return {str(replica_id): summaries.get(replica_id, {}).get(key)
+                for replica_id in range(run.n)}
+
     report["deployment"] = {
         "mode": "processes",
-        "replica_processes": n,
-        "exit_codes": dict(sorted(exit_codes.items())),
-        "respawns": respawns,
+        "replica_processes": run.n,
+        "exit_codes": {name: proc.returncode for name, proc
+                       in sorted(run.supervisor.procs.items())},
+        "respawns": run.supervisor.respawns,
         # Peak RSS and minor faults: this (client-hosting) process's own,
         # and each replica child's from its summary (None for a child
         # killed without one).
         "peak_rss_mb": peak_rss_mb(),
-        "replica_peak_rss_mb": {
-            str(replica_id): summary.get("peak_rss_mb")
-            for replica_id, summary in sorted(summaries.items())},
-        "minor_faults": minor_faults() - faults_at_start,
-        "replica_minor_faults": {
-            str(replica_id): summary.get("minor_faults")
-            for replica_id, summary in sorted(summaries.items())},
+        "replica_peak_rss_mb": per_child("peak_rss_mb"),
+        "minor_faults": minor_faults() - run.faults_at_start,
+        "replica_minor_faults": per_child("minor_faults"),
     }
-    if trace is not None:
-        report["trace"] = trace
+    if run.tracer is not None and run.tracer.enabled:
+        report["trace"] = merge_trace_parts(
+            [(run.tracer.to_jsonable(), 0.0)]
+            + [(summary["trace"], shift)
+               for _, summary in sorted(summaries.items())
+               if summary.get("trace")])
     return report
 
 

@@ -114,6 +114,17 @@ class RunSpec:
         """The spec an :func:`add_run_options` parser produced."""
         return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
 
+    def live_config(self):
+        """The protocol configuration every backend runs."""
+        return get_protocol(self.protocol).live_config(
+            self.n, self.payload, self.datablock_size)
+
+    def client_count(self) -> int:
+        """``clients``, or the protocol's live client topology."""
+        if self.clients is not None:
+            return self.clients
+        return get_protocol(self.protocol).live_clients(self.n)
+
 
 def add_run_options(parser: argparse.ArgumentParser, **fixed: Any) -> None:
     """Add one flag per :class:`RunSpec` field the verb does not fix.
@@ -145,33 +156,27 @@ def execute(spec: RunSpec, *, tracer=None, costs=None) -> dict:
     is the simulator's :class:`repro.analysis.calibration.CostModel`;
     the live backends ignore it.
     """
-    protocol = get_protocol(spec.protocol)
+    if spec.processes:
+        from repro.harness.procs import run_live_processes
+
+        return run_live_processes(spec, tracer=tracer)
     scenario = None
     if spec.scenario:
         from repro.net.chaos import load_scenario
 
         scenario = load_scenario(spec.scenario)
-    clients = spec.clients
-    if clients is None:
-        clients = protocol.live_clients(spec.n)
-    point = dict(protocol=spec.protocol, n=spec.n, client_count=clients,
+    point = dict(protocol=spec.protocol, n=spec.n,
+                 client_count=spec.client_count(),
                  duration=spec.warmup + spec.duration,
                  total_rate=spec.rate, bundle_size=spec.bundle_size,
                  seed=spec.seed, warmup=spec.warmup, scenario=scenario,
-                 tracer=tracer)
-    if spec.processes:
-        from repro.harness.procs import run_live_processes
-
-        return run_live_processes(payload_size=spec.payload,
-                                  datablock_size=spec.datablock_size,
-                                  **point)
-    config = protocol.live_config(spec.n, spec.payload, spec.datablock_size)
+                 tracer=tracer, config=spec.live_config())
     if spec.backend == "live":
         from repro.net.live import run_live_sync
 
-        return run_live_sync(config=config, **point)
+        return run_live_sync(**point)
     from repro.harness.cluster import run_sim
 
     if costs is not None:
         point["costs"] = costs
-    return run_sim(config=config, prime=False, **point)
+    return run_sim(prime=False, **point)

@@ -27,6 +27,7 @@ from repro.faults import (
     fault_from_spec,
     faults_section,
     hosted_core,
+    pick_measure_replica,
 )
 from repro.net.chaos import ChaosScenario, run_scenario_live
 from repro.net.node import LiveNode
@@ -125,15 +126,8 @@ class LiveCluster:
                                         timeseries=TimeSeries())
         self.tracer = tracer
         self.leader = self.config.leader_of(1)
-        self.measure_replica = next(
-            replica_id for replica_id in range(n)
-            if replica_id != self.leader)
         self.faults = dict(faults or {})
-        if len(self.faults) > self.config.f:
-            raise ConfigError(
-                f"at most f={self.config.f} faulty replicas allowed")
-        if self.measure_replica in self.faults:
-            raise ConfigError("the measurement replica must stay honest")
+        self.measure_replica = pick_measure_replica(self.config, self.faults)
         #: Cluster-wide link shaper, consulted by every outbound link.
         self.shaper = LinkShaper(seed=seed)
         self.restarts = 0
@@ -385,7 +379,8 @@ class LiveCluster:
     def recovery_section(self) -> dict | None:
         """The report's ``recovery`` section (``None`` for a clean run)."""
         from repro.core.recovery import recovery_section
-        return recovery_section(self.replicas)
+        return recovery_section({core.node_id: core.recovery_summary()
+                                 for core in self.replicas})
 
     def timeseries_section(self) -> dict | None:
         """The schema-5 ``timeseries`` section for this run (live clock)."""

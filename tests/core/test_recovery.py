@@ -291,28 +291,23 @@ class TestGapTrigger:
 
 
 class TestReporting:
-    class FakeCore:
-        def __init__(self, node_id, rounds):
-            self.node_id = node_id
-            self._rounds = rounds
-
-        def recovery_summary(self):
-            return {"rounds": self._rounds, "complete": bool(self._rounds),
-                    "exec_tail": [(1, "aa")], "last_executed": 1}
+    @staticmethod
+    def summary(rounds):
+        return {"rounds": rounds, "complete": bool(rounds),
+                "exec_tail": [(1, "aa")], "last_executed": 1}
 
     def test_clean_run_has_no_recovery_section(self):
-        cores = [self.FakeCore(i, 0) for i in range(4)]
-        assert recovery_section(cores) is None
+        summaries = {i: self.summary(0) for i in range(4)}
+        assert recovery_section(summaries) is None
 
     def test_any_catchup_round_populates_section(self):
-        cores = [self.FakeCore(0, 0), self.FakeCore(1, 2)]
-        section = recovery_section(cores)
+        section = recovery_section({0: self.summary(0), 1: self.summary(2)})
         assert section["replicas"]["1"]["rounds"] == 2
         assert set(section["replicas"]) == {"0", "1"}
 
     def test_durable_activity_alone_populates_section(self):
-        cores = [self.FakeCore(0, 0)]
-        section = recovery_section(cores, snapshots_persisted=3,
+        section = recovery_section({0: self.summary(0)},
+                                   snapshots_persisted=3,
                                    restored_from_disk=[0])
         assert section["snapshots_persisted"] == 3
         assert section["restored_from_disk"] == [0]

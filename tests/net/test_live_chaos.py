@@ -27,10 +27,20 @@ class TestFaultInjection:
             LiveCluster(4, faults={2: Crash(), 3: Crash()}, **SMOKE)
 
     def test_measure_replica_must_stay_honest(self):
-        cluster = LiveCluster(4, **SMOKE)
-        with pytest.raises(ConfigError, match="honest"):
-            LiveCluster(4, faults={cluster.measure_replica: Crash()},
-                        **SMOKE)
+        first = LiveCluster(4, **SMOKE).measure_replica
+        cluster = LiveCluster(4, faults={first: Crash()}, **SMOKE)
+        assert cluster.measure_replica not in (first, cluster.leader)
+
+    def test_measure_replica_matches_simulator(self):
+        """With the first non-leader faulty, the live cluster measures
+        the replica the simulator does."""
+        from repro.harness.cluster import build_cluster
+
+        faults = {0: Crash()}
+        live = LiveCluster(4, faults=faults, **SMOKE)
+        sim = build_cluster("leopard", 4, faults=faults)
+        assert live.leader == sim.leader == 1
+        assert live.measure_replica == sim.measure_replica == 2
 
     def test_clean_cluster_has_no_faults_section(self):
         assert LiveCluster(4, **SMOKE).faults_summary() is None

@@ -13,10 +13,12 @@ import time
 import pytest
 
 from repro.harness.procs import (
+    ProcessDeployment,
     ProcessSupervisor,
     pick_free_ports,
     run_live_processes,
 )
+from repro.harness.spec import RunSpec
 
 
 class TestPickFreePorts:
@@ -67,12 +69,6 @@ class TestProcessSupervisor:
                 time.sleep(0.05)
             failed = supervisor.failed()
         assert failed == {"crasher": 3}
-
-    def test_wait_all_returns_exit_codes(self):
-        with ProcessSupervisor() as supervisor:
-            supervisor.spawn("quick", [sys.executable, "-c", "pass"])
-            codes = supervisor.wait_all(timeout=10.0)
-        assert codes == {"quick": 0}
 
     def test_kill_is_expected_death(self):
         """A chaos SIGKILL must not surface as a failed child."""
@@ -133,33 +129,52 @@ class TestProcessSupervisor:
             assert supervisor.failed() == {}
 
 
+def processes_spec(**fields) -> RunSpec:
+    """A one-client ``--processes`` run of ``fields``."""
+    return RunSpec(backend="live", processes=True, clients=1, **fields)
+
+
 class TestRunLiveProcesses:
-    def test_warmup_rejected(self):
-        """Child clocks cannot honour a measurement-epoch warmup."""
-        from repro.errors import ConfigError
-
-        with pytest.raises(ConfigError, match="warmup"):
-            run_live_processes(n=4, duration=1.0, warmup=0.5)
-
     def test_non_process_scenario_ops_rejected(self):
         """Only crash/restart act on real processes; shaping ops need
         the in-process shaper and must be rejected before any spawn."""
         from repro.errors import ConfigError
-        from repro.net.chaos import load_scenario
 
-        scenario = load_scenario(
-            "at 0.3 partition victim | rest; at 0.8 heal")
+        spec = processes_spec(
+            duration=1.0, rate=4000.0, bundle_size=200,
+            scenario="at 0.3 partition victim | rest; at 0.8 heal")
         with pytest.raises(ConfigError, match="crash/restart"):
-            run_live_processes(n=4, duration=1.0, scenario=scenario)
+            run_live_processes(spec)
+
+    def test_measure_replica_matches_simulator(self):
+        """With the first non-leader faulty, the process deployment
+        measures the replica the simulator does — decided when it is
+        built, before any child spawns."""
+        from repro.faults import Mute
+        from repro.harness.cluster import build_cluster
+
+        faults = {0: Mute(frozenset({"vote"}))}
+        deployment = ProcessDeployment(
+            processes_spec(rate=2000.0, bundle_size=100), faults)
+        sim = build_cluster("leopard", 4, faults=faults)
+        assert deployment.measure_replica == sim.measure_replica == 2
 
     def test_leopard_commits_across_processes(self):
-        """One OS process per replica commits real requests end-to-end."""
+        """One OS process per replica commits real requests end-to-end,
+        with a static fault shipped to its child as a plain-JSON spec."""
+        from repro.faults import Mute
+
+        victim = 3
         report = run_live_processes(
-            n=4, client_count=1, duration=4.0, protocol="leopard",
-            total_rate=2000.0, bundle_size=100, seed=7)
+            processes_spec(duration=4.0, protocol="leopard",
+                           rate=2000.0, bundle_size=100, seed=7),
+            faults={victim: Mute(frozenset({"vote"}))})
         committed = report["executed_requests"].get(
             report["measure_replica"], 0)
         assert committed >= 100, f"only {committed} committed"
+        # The fault crossed the process boundary and acted in the child.
+        assert set(report["faults"]["injected"]) == {str(victim)}
+        assert "vote" not in report["bytes_by_class"][victim]["sent"]
         # Every replica child exited cleanly and was reaped.
         assert report["deployment"]["mode"] == "processes"
         assert set(report["deployment"]["exit_codes"].values()) == {0}
@@ -189,12 +204,10 @@ class TestRunLiveProcesses:
         durable on-disk snapshot, then catches up over the wire and
         re-converges with the quorum's executed prefix."""
         from repro.core.recovery import assert_replica_converged
-        from repro.net.chaos import load_scenario
 
-        report = run_live_processes(
-            n=4, client_count=1, duration=4.0, protocol="leopard",
-            total_rate=2000.0, bundle_size=100, seed=7,
-            scenario=load_scenario("crash-recover"))
+        report = run_live_processes(processes_spec(
+            duration=4.0, protocol="leopard", rate=2000.0,
+            bundle_size=100, seed=7, scenario="crash-recover"))
         recovery = report["recovery"]
         assert recovery is not None
         # Children persisted snapshots; the respawned victim booted from
@@ -226,6 +239,6 @@ class TestRunLiveProcesses:
 
         monkeypatch.setattr(ProcessSupervisor, "spawn", sabotaged_spawn)
         with pytest.raises(RuntimeError, match="replica-2"):
-            procs_mod.run_live_processes(
-                n=4, client_count=1, duration=8.0, protocol="leopard",
-                total_rate=1000.0, bundle_size=50)
+            procs_mod.run_live_processes(processes_spec(
+                duration=8.0, protocol="leopard", rate=1000.0,
+                bundle_size=50))
